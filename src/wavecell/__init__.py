@@ -4,17 +4,17 @@ a reproducible accuracy/timing benchmark."""
 
 from .assembly import (DiscreteSystem, ElementIntegralCache, Grid,
                        SourceSpec, TensorSystem, assemble, benchmark_source,
-                       element_matrices, ricker, spatial_load)
+                       ricker, spatial_load)
 from .basis import BasisSpec, gl_rule, gll_rule
 from .geometry import Box, ElementClass, ImmersedGeometry
 from .harness import (BenchmarkConfig, BenchmarkReport, build_observers,
                       convergence_study, dof_count, observer_matrix,
                       reference_run, relative_error, run_benchmark,
                       sample_observers, timing_study)
-from .linalg import (IndefiniteMatrixError, dt_crit, factorize, jacobi_eig,
+from .linalg import (IndefiniteMatrixError, dt_crit, factorize,
                      load_matrix_market, max_gen_eig, save_matrix_market)
-from .stabilization import (StabilizationParams, alpha_combine,
-                            evs_stabilize, hrz_lump, row_sum_lump)
+from .stabilization import (StabilizationParams, evs_stabilize, hrz_lump,
+                            row_sum_lump)
 from .timeint import (DivergenceError, RunResult, StageTimings, cdm_run,
                       imex_critical_time_step, imex_run, newmark_run,
                       select_dt)
@@ -26,11 +26,10 @@ __all__ = [
     "DiscreteSystem", "DivergenceError", "ElementClass",
     "ElementIntegralCache", "Grid", "ImmersedGeometry",
     "IndefiniteMatrixError", "RunResult", "SourceSpec",
-    "StabilizationParams", "StageTimings", "TensorSystem", "alpha_combine",
-    "assemble", "benchmark_source", "build_observers", "cdm_run",
-    "convergence_study", "dof_count", "dt_crit", "element_matrices",
-    "evs_stabilize", "factorize", "gl_rule", "gll_rule", "hrz_lump",
-    "imex_critical_time_step", "imex_run", "jacobi_eig",
+    "StabilizationParams", "StageTimings", "TensorSystem", "assemble",
+    "benchmark_source", "build_observers", "cdm_run", "convergence_study",
+    "dof_count", "dt_crit", "evs_stabilize", "factorize", "gl_rule",
+    "gll_rule", "hrz_lump", "imex_critical_time_step", "imex_run",
     "load_matrix_market", "max_gen_eig", "newmark_run", "observer_matrix",
     "reference_run", "relative_error", "ricker", "row_sum_lump",
     "run_benchmark", "sample_observers", "save_matrix_market", "select_dt",

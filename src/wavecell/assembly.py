@@ -9,12 +9,16 @@ mass and stiffness matrices come from summing element matrices:
   Lagrange family the mass matrix uses the GLL rule of the basis order and
   is diagonal by construction; stiffness always uses an exact
   Gauss-Legendre rule.
-* cut elements are integrated on an octree partition.  Leaves that are
-  fully inside or outside keep the tensor structure with a constant
-  indicator; leaves still cut at maximum depth classify every quadrature
-  point individually.  The physical and fictitious contributions are kept
-  separate, so any indicator value alpha (and any eigenvalue
-  stabilization) can be applied afterwards without re-integrating.
+* cut elements are integrated on an octree partition, the only place that
+  turns a cut cell into quadrature points.  Leaves that are fully inside
+  keep the tensor structure; leaves still cut at maximum depth classify
+  every quadrature point individually.  Only the physical (inside) part is
+  stored: with q = p+1 Gauss-Legendre points per leaf every leaf integrates
+  the degree-2p integrand exactly, so the fictitious part is the exact
+  uncut element integral minus the inside part.  Any indicator value alpha
+  (and any eigenvalue stabilization) is applied afterwards without
+  re-integrating.  The load vector integrates the source on the same
+  leaves.
 
 Degrees of freedom are numbered lexicographically over the tensor function
 grid and compacted to the functions supported on kept elements.  DOFs
@@ -34,7 +38,6 @@ import scipy.sparse as sp
 from . import geometry
 from .basis import BasisSpec, gl_rule, gll_rule, lagrange_eval, open_uniform_knots
 from .geometry import Box, ElementClass, ImmersedGeometry, octree_partition
-from .quadrature import cut_cell_rule, tensor_rule
 from .stabilization import StabilizationParams, evs_stabilize, hrz_lump, row_sum_lump
 
 DEFAULT_OCTREE_DEPTH = 4
@@ -213,23 +216,109 @@ def _discard_slivers(geom, classes, origin, h, min_volume_fraction):
 
 @dataclass
 class ElementIntegrals:
-    """Reference-element integrals split into physical and fictitious parts.
+    """Physical-part (inside) integrals of a cut element.
 
-    All matrices are (p+1)^3 square on the reference element; the physical
-    scaling (rho, c, element size) is applied when combining.  ``K`` blocks
-    already sum the three gradient directions with reference derivatives.
+    Both matrices are (p+1)^3 square on the reference element; the physical
+    scaling (rho, c, element size) is applied when combining.  ``K_in``
+    already sums the three gradient directions with reference derivatives.
+    The fictitious part is the uncut element integral
+    (:meth:`ElementIntegralCache.full_element`) minus the inside part.
     """
 
     M_in: np.ndarray
-    M_out: np.ndarray
     K_in: np.ndarray
-    K_out: np.ndarray
+
+
+def _signature(spec: BasisSpec, e: int):
+    """Key identifying the 1D basis pattern of element ``e``."""
+    if spec.family == "lagrange":
+        return 0
+    return (min(e, spec.p), min(spec.n_e - 1 - e, spec.p))
+
+
+@dataclass
+class _LeafPoints:
+    """Tensor Gauss-Legendre points of a batch of L octree leaves.
+
+    Attributes
+    ----------
+    V, D : list of three ndarrays, shape (L, q, p+1)
+        Per direction, basis values and reference derivatives at the
+        leaf's 1D points.
+    w : ndarray, shape (L, q, q, q)
+        Weights in the reference measure (an uncut element sums to 8).
+    x : ndarray, shape (L, q, q, q, 3)
+        Grid-frame coordinates of the points.
+    """
+
+    V: list
+    D: list
+    w: np.ndarray
+    x: np.ndarray
+
+
+class _LeafRules:
+    """Gauss-Legendre tables on the dyadic subintervals of [-1, 1].
+
+    Every octree leaf of an element is a product of three dyadic intervals
+    of the reference element, so its quadrature points, weights and basis
+    values are table lookups.  Tables are built once per 1D basis
+    signature.  The cut-element integrals and the load vector both map
+    leaves to points through :meth:`points`.
+    """
+
+    def __init__(self, grid: Grid, max_depth: int, q: int):
+        self.grid = grid
+        self.q = q
+        g = gl_rule(q)
+        starts, lengths, self.offsets = _dyadic_intervals(max_depth)
+        self.xi = starts[:, None] + (g.nodes[None, :] + 1.0) / 2.0 * lengths[:, None]
+        self.w = g.weights[None, :] * (lengths[:, None] / 2.0)
+        self._tables: dict = {}
+
+    def tables(self, e: int):
+        """Per-interval basis values, derivatives and 1D partial mass and
+        stiffness ``(V, D, m1, k1)`` on element ``e``."""
+        key = _signature(self.grid.spec, e)
+        if key not in self._tables:
+            n = self.grid.spec.p + 1
+            V, D = basis_eval_1d(self.grid, e, self.xi.ravel())
+            V = V.reshape(-1, self.q, n)
+            D = D.reshape(-1, self.q, n)
+            m1 = np.einsum("lqa,lq,lqb->lab", V, self.w, V)
+            k1 = np.einsum("lqa,lq,lqb->lab", D, self.w, D)
+            self._tables[key] = (V, D, m1, k1)
+        return self._tables[key]
+
+    def leaf_ids(self, box: Box, leaves) -> np.ndarray:
+        """Flat dyadic interval ids, shape (L, 3), of octree leaves of ``box``."""
+        pos = np.rint((leaves.lo - box.lo) / (box.hi - box.lo)
+                      * (2.0 ** leaves.depth[:, None])).astype(int)
+        return self.offsets[leaves.depth][:, None] + pos
+
+    def points(self, ijk, box: Box, ids: np.ndarray) -> _LeafPoints:
+        """Quadrature points of the leaves with interval ids ``ids`` of
+        element ``ijk`` (whose box is ``box``)."""
+        tabs = [self.tables(int(e)) for e in ijk]
+        V = [tabs[d][0][ids[:, d]] for d in range(3)]
+        D = [tabs[d][1][ids[:, d]] for d in range(3)]
+        w = np.einsum("lq,lr,ls->lqrs", *(self.w[ids[:, d]] for d in range(3)))
+        x = np.empty(w.shape + (3,))
+        for d in range(3):
+            shape = [ids.shape[0], 1, 1, 1]
+            shape[d + 1] = self.q
+            x1 = box.lo[d] + (self.xi[ids[:, d]] + 1.0) / 2.0 * (box.hi[d] - box.lo[d])
+            x[..., d] = x1.reshape(shape)
+        return _LeafPoints(V=V, D=D, w=w, x=x)
 
 
 class ElementIntegralCache:
     """Alpha-independent element integrals for one grid.
 
-    Cut-element integrals are stored per element; uncut integrals are shared
+    Cut elements store only their inside part (:class:`ElementIntegrals`);
+    the fictitious part is the uncut element integral minus the inside
+    part, exact because q = p+1 Gauss-Legendre points per octree leaf
+    integrate the degree-2p integrand exactly.  Uncut integrals are shared
     per boundary signature (a single entry for the Lagrange family).
     Building the cache is the expensive geometric step; assembling a system
     for given stabilization parameters afterwards is cheap, which is what
@@ -243,32 +332,34 @@ class ElementIntegralCache:
         self.q = int(q) if q is not None else grid.spec.p + 1
         if self.octree_depth < 0:
             raise ValueError("octree depth must be >= 0")
+        self._rules = _LeafRules(grid, self.octree_depth, self.q)
         self._uncut: dict = {}
         self._cut: dict = {}
         self._build()
 
-    # -- 1D ingredients ------------------------------------------------
-
-    def _eval_1d(self, e: int, x):
-        """Basis values/derivatives on element ``e`` at reference coords."""
-        return basis_eval_1d(self.grid, e, x)
-
-    def _signature(self, e: int):
-        """Key identifying the 1D basis pattern of element ``e``."""
-        spec = self.grid.spec
-        if spec.family == "lagrange":
-            return 0
-        return (min(e, spec.p), min(spec.n_e - 1 - e, spec.p))
+    # -- uncut elements -------------------------------------------------
 
     def _uncut_1d(self, e: int):
         """Exact 1D mass/stiffness on the reference element (GL rule)."""
-        key = ("1d", self._signature(e))
+        key = ("1d", _signature(self.grid.spec, e))
         if key not in self._uncut:
             g = gl_rule(self.q)
-            V, D = self._eval_1d(e, g.nodes)
+            V, D = basis_eval_1d(self.grid, e, g.nodes)
             m1 = (V * g.weights[:, None]).T @ V
             k1 = (D * g.weights[:, None]).T @ D
             self._uncut[key] = (m1, k1)
+        return self._uncut[key]
+
+    def full_element(self, ijk):
+        """Exact reference ``(M, K)`` of the whole element (indicator one),
+        the Kronecker products of the 1D Gauss-Legendre matrices."""
+        key = ("full", tuple(_signature(self.grid.spec, int(e)) for e in ijk))
+        if key not in self._uncut:
+            (m1x, k1x), (m1y, k1y), (m1z, k1z) = (self._uncut_1d(int(e))
+                                                  for e in ijk)
+            K = (_kron3(k1x, m1y, m1z) + _kron3(m1x, k1y, m1z)
+                 + _kron3(m1x, m1y, k1z))
+            self._uncut[key] = (_kron3(m1x, m1y, m1z), K)
         return self._uncut[key]
 
     def uncut_element(self, ijk):
@@ -279,19 +370,15 @@ class ElementIntegralCache:
         for B-splines.
         """
         spec = self.grid.spec
-        key = ("elem", tuple(self._signature(int(e)) for e in ijk))
-        if key in self._uncut:
-            return self._uncut[key]
-        ones = [self._uncut_1d(int(e)) for e in ijk]
-        (m1x, k1x), (m1y, k1y), (m1z, k1z) = ones
-        K = (_kron3(k1x, m1y, m1z) + _kron3(m1x, k1y, m1z)
-             + _kron3(m1x, m1y, k1z))
-        if spec.family == "lagrange":
-            w = gll_rule(spec.p).weights
-            M_repr = ("diag", np.einsum("i,j,k->ijk", w, w, w).ravel())
-        else:
-            M_repr = ("dense", _kron3(m1x, m1y, m1z))
-        self._uncut[key] = (M_repr, K)
+        key = ("elem", tuple(_signature(spec, int(e)) for e in ijk))
+        if key not in self._uncut:
+            M, K = self.full_element(ijk)
+            if spec.family == "lagrange":
+                w = gll_rule(spec.p).weights
+                M_repr = ("diag", np.einsum("i,j,k->ijk", w, w, w).ravel())
+            else:
+                M_repr = ("dense", M)
+            self._uncut[key] = (M_repr, K)
         return self._uncut[key]
 
     # -- cut elements ---------------------------------------------------
@@ -307,120 +394,53 @@ class ElementIntegralCache:
             else:
                 self.uncut_element(ijk)
 
-    def _dyadic_tables(self, e: int):
-        """Per-interval 1D tables on the dyadic subdivision of [-1, 1].
-
-        Interval ``(depth, i)`` maps to a flat id; tables hold mapped GL
-        nodes, basis values/derivatives, and the 1D partial mass/stiffness
-        of each interval.
-        """
-        D = self.octree_depth
-        q = self.q
-        g = gl_rule(q)
-        starts, lengths, offsets = _dyadic_intervals(D)
-        xi = starts[:, None] + (g.nodes[None, :] + 1.0) / 2.0 * lengths[:, None]
-        V, Dv = self._eval_1d(e, xi.ravel())
-        n = self.grid.spec.p + 1
-        V = V.reshape(-1, q, n)
-        Dv = Dv.reshape(-1, q, n)
-        w = g.weights[None, :] * (lengths[:, None] / 2.0)
-        m1 = np.einsum("lqa,lq,lqb->lab", V, w, V)
-        k1 = np.einsum("lqa,lq,lqb->lab", Dv, w, Dv)
-        return {"xi": xi, "w": w, "V": V, "D": Dv, "m1": m1, "k1": k1,
-                "offsets": offsets}
-
     def _integrate_cut(self, ijk) -> ElementIntegrals:
         grid = self.grid
-        n = grid.spec.p + 1
-        n3 = n**3
-        q = self.q
+        n3 = (grid.spec.p + 1) ** 3
         box = grid.element_box(ijk)
         leaves = octree_partition(grid.geom, box, self.octree_depth)
-        tabs = [self._dyadic_tables(int(e)) for e in ijk]
-
-        # Flat interval ids per leaf and direction.
-        A = 2.0 * (leaves.lo - box.lo) / (box.hi - box.lo) - 1.0
-        pos = np.rint((A + 1.0) / 2.0 * (2.0 ** leaves.depth[:, None])).astype(int)
-        offsets = tabs[0]["offsets"]
-        ids = offsets[leaves.depth][:, None] + pos
-
+        ids = self._rules.leaf_ids(box, leaves)
         M_in = np.zeros((n3, n3))
-        M_out = np.zeros((n3, n3))
         K_in = np.zeros((n3, n3))
-        K_out = np.zeros((n3, n3))
 
-        # Inside / outside leaves keep the tensor-product structure.
-        for klass, M_acc, K_acc in ((ElementClass.INSIDE, M_in, K_in),
-                                    (ElementClass.OUTSIDE, M_out, K_out)):
-            sel = np.flatnonzero(leaves.cls == klass)
-            if sel.shape[0] == 0:
-                continue
-            mx = tabs[0]["m1"][ids[sel, 0]]
-            my = tabs[1]["m1"][ids[sel, 1]]
-            mz = tabs[2]["m1"][ids[sel, 2]]
-            kx = tabs[0]["k1"][ids[sel, 0]]
-            ky = tabs[1]["k1"][ids[sel, 1]]
-            kz = tabs[2]["k1"][ids[sel, 2]]
-            M_acc += _kron3_sum(mx, my, mz)
-            K_acc += _kron3_sum(kx, my, mz)
-            K_acc += _kron3_sum(mx, ky, mz)
-            K_acc += _kron3_sum(mx, my, kz)
+        # Inside leaves keep the tensor-product structure.
+        sel = np.flatnonzero(leaves.cls == ElementClass.INSIDE)
+        if sel.shape[0]:
+            tabs = [self._rules.tables(int(e)) for e in ijk]
+            mx, my, mz = (tabs[d][2][ids[sel, d]] for d in range(3))
+            kx, ky, kz = (tabs[d][3][ids[sel, d]] for d in range(3))
+            M_in += _kron3_sum(mx, my, mz)
+            K_in += _kron3_sum(kx, my, mz)
+            K_in += _kron3_sum(mx, ky, mz)
+            K_in += _kron3_sum(mx, my, kz)
 
-        # Leaves still cut at maximum depth: pointwise indicator.
+        # Leaves still cut at maximum depth: only their inside points count.
         sel = np.flatnonzero(leaves.cls == ElementClass.CUT)
         if sel.shape[0]:
+            pts = self._rules.points(ijk, box, ids[sel])
+            inside = grid.point_alpha_mask(pts.x)
+            l, a, b, c = np.nonzero(inside)
+            w = pts.w[inside]
+            vals = (pts.V[0][l, a], pts.V[1][l, b], pts.V[2][l, c])
+            ders = (pts.D[0][l, a], pts.D[1][l, b], pts.D[2][l, c])
             # Chunk so the (points x n^3) work arrays stay modest.
-            chunk = max(1, int(2e7 // (q**3 * n3)))
-            for s in range(0, sel.shape[0], chunk):
-                part = sel[s:s + chunk]
-                self._accumulate_pointwise(part, ids, tabs, box,
-                                           M_in, M_out, K_in, K_out)
-        return ElementIntegrals(M_in=M_in, M_out=M_out, K_in=K_in, K_out=K_out)
+            chunk = max(1, 2**22 // n3)
+            for s in range(0, w.shape[0], chunk):
+                part = slice(s, s + chunk)
+                wp = w[part, None]
+                N = _outer3(*(v[part] for v in vals))
+                M_in += (N * wp).T @ N
+                for d in range(3):
+                    G = _outer3(*((ders if k == d else vals)[k][part]
+                                  for k in range(3)))
+                    K_in += (G * wp).T @ G
+        return ElementIntegrals(M_in=M_in, K_in=K_in)
 
-    def _accumulate_pointwise(self, sel, ids, tabs, box,
-                              M_in, M_out, K_in, K_out):
-        grid = self.grid
-        n = grid.spec.p + 1
-        n3 = n**3
-        q = self.q
-        L = sel.shape[0]
-        Vd, Dd, xid, wd = [], [], [], []
-        for d in range(3):
-            t = tabs[d]
-            idd = ids[sel, d]
-            Vd.append(t["V"][idd])
-            Dd.append(t["D"][idd])
-            xid.append(t["xi"][idd])
-            wd.append(t["w"][idd])
-        V3 = np.einsum("lqa,lrb,lsc->lqrsabc", Vd[0], Vd[1], Vd[2])
-        V3 = V3.reshape(L * q**3, n3)
-        w3 = np.einsum("lq,lr,ls->lqrs", wd[0], wd[1], wd[2]).reshape(-1)
-        # Global coordinates of all points, then the pointwise indicator.
-        size = box.hi - box.lo
-        gx = box.lo[0] + (xid[0] + 1.0) / 2.0 * size[0]
-        gy = box.lo[1] + (xid[1] + 1.0) / 2.0 * size[1]
-        gz = box.lo[2] + (xid[2] + 1.0) / 2.0 * size[2]
-        pts = np.empty((L, q, q, q, 3))
-        pts[..., 0] = gx[:, :, None, None]
-        pts[..., 1] = gy[:, None, :, None]
-        pts[..., 2] = gz[:, None, None, :]
-        inside = grid.geom.contains(pts.reshape(-1, 3))
-        w_in = np.where(inside, w3, 0.0)
 
-        m_in = (V3 * w_in[:, None]).T @ V3
-        m_all = (V3 * w3[:, None]).T @ V3
-        M_in += m_in
-        M_out += m_all - m_in
-        del V3
-        for d in range(3):
-            parts = [Vd[0], Vd[1], Vd[2]]
-            parts[d] = Dd[d]
-            G = np.einsum("lqa,lrb,lsc->lqrsabc", *parts).reshape(L * q**3, n3)
-            g_in = (G * w_in[:, None]).T @ G
-            g_all = (G * w3[:, None]).T @ G
-            K_in += g_in
-            K_out += g_all - g_in
-            del G
+def _outer3(A, B, C):
+    """Row-wise tensor products of three (P, n) tables, shape (P, n^3)."""
+    P, n = A.shape
+    return np.einsum("pa,pb,pc->pabc", A, B, C).reshape(P, n**3)
 
 
 def _kron3(Ax, Ay, Az):
@@ -484,45 +504,17 @@ class DiscreteSystem:
         return self.grid.dofmap.d_idx
 
 
-def element_matrices(grid: Grid, ijk, alpha: float,
-                     octree_depth: int = DEFAULT_OCTREE_DEPTH,
-                     q: int | None = None, rho: float = 1.0, c: float = 1.0,
-                     cache: ElementIntegralCache | None = None):
-    """Physical-scale element matrices ``(M_o, K_o, M_f, K_f)``.
-
-    ``M_o, K_o`` weight the fictitious part by ``alpha``; ``M_f, K_f`` use
-    an indicator of one everywhere (the "uncut" matrices used by the
-    eigenvalue stabilization scaling).
-    """
-    if cache is None:
-        cache = ElementIntegralCache(grid, octree_depth=octree_depth, q=q)
-    ijk = tuple(int(v) for v in ijk)
-    klass = ElementClass(int(grid.classes[ijk]))
-    if klass == ElementClass.OUTSIDE:
-        raise ValueError(f"element {ijk} was discarded from the discretization")
-    h = grid.h
-    sm = rho * (h / 2.0) ** 3
-    sk = rho * c * c * (h / 2.0)
-    if klass == ElementClass.INSIDE:
-        M_repr, K_ref = cache.uncut_element(ijk)
-        M = np.diag(M_repr[1]) if M_repr[0] == "diag" else M_repr[1]
-        return sm * M, sk * K_ref, sm * M, sk * K_ref
-    ints = cache.cut_element(ijk)
-    M_o = sm * (ints.M_in + alpha * ints.M_out)
-    K_o = sk * (ints.K_in + alpha * ints.K_out)
-    M_f = sm * (ints.M_in + ints.M_out)
-    K_f = sk * (ints.K_in + ints.K_out)
-    return M_o, K_o, M_f, K_f
-
-
 def assemble(grid: Grid, params: StabilizationParams, rho: float = 1.0,
              c: float = 1.0, source: SourceSpec | None = None,
              octree_depth: int = DEFAULT_OCTREE_DEPTH, q: int | None = None,
              cache: ElementIntegralCache | None = None) -> DiscreteSystem:
     """Assemble global mass/stiffness matrices and the spatial load.
 
-    Passing a prebuilt ``cache`` reuses the alpha-independent element
-    integrals, which makes stabilization parameter sweeps cheap.
+    A cut element contributes ``M_in + alpha (M_full - M_in)`` (and K the
+    same way) from its cached inside part and the exact uncut element
+    matrices; eigenvalue stabilization sees ``M_full`` as the uncut
+    reference.  Passing a prebuilt ``cache`` reuses the alpha-independent
+    element integrals, which makes stabilization parameter sweeps cheap.
     """
     if cache is None:
         cache = ElementIntegralCache(grid, octree_depth=octree_depth, q=q)
@@ -575,12 +567,13 @@ def assemble(grid: Grid, params: StabilizationParams, rho: float = 1.0,
     if cut_ijks:
         M_o = np.empty((len(cut_ijks), n3, n3))
         M_f = np.empty_like(M_o)
-        for e, (tijk, _) in enumerate(cut_ijks):
+        for e, (tijk, dofs) in enumerate(cut_ijks):
             ints = cache.cut_element(tijk)
-            M_o[e] = sm * (ints.M_in + params.alpha * ints.M_out)
-            M_f[e] = sm * (ints.M_in + ints.M_out)
-            K_el = sk * (ints.K_in + params.alpha * ints.K_out)
-            scatter_dense(cut_ijks[e][1], K_el, k_rows, k_cols, k_vals)
+            M_full, K_full = cache.full_element(tijk)
+            M_o[e] = sm * (ints.M_in + params.alpha * (M_full - ints.M_in))
+            M_f[e] = sm * M_full
+            K_el = sk * (ints.K_in + params.alpha * (K_full - ints.K_in))
+            scatter_dense(dofs, K_el, k_rows, k_cols, k_vals)
         if params.epsilon > 0.0:
             M_o = evs_stabilize(M_o, M_f, params.epsilon, params.f_lambda)
         for e, (tijk, dofs) in enumerate(cut_ijks):
@@ -613,17 +606,19 @@ def _to_csr(rows, cols, vals, n_dof):
 
 
 class TensorSystem:
-    """Separable global operators of a fully uncut tensor-product grid.
+    """Separable global operators of a boundary-fitted Lagrange grid.
 
-    On a boundary-fitted grid the global mass and stiffness factor into
-    Kronecker products of one shared 1D mass and stiffness matrix, so the
-    stiffness can be applied in O(n^{4/3}) without ever forming the 3D
-    sparse matrix, and the Newmark iteration matrix S = M + beta dt^2 K
-    can be inverted by diagonalizing the 1D generalized eigenproblem
-    (fast diagonalization).  This is what makes fine reference runs cheap.
+    On a fully uncut grid the global stiffness factors into Kronecker
+    products of one shared 1D mass and stiffness matrix, so it can be
+    applied in O(n^{4/3}) without ever forming the 3D sparse matrix, and
+    the nodal-quadrature mass is the Kronecker product of one 1D diagonal.
+    This is what makes fine reference runs cheap.  B-spline grids go
+    through :func:`assemble`.
     """
 
     def __init__(self, grid: Grid, rho: float = 1.0, c: float = 1.0):
+        if grid.spec.family != "lagrange":
+            raise ValueError("tensor-product operators need the Lagrange family")
         if np.any(grid.classes != ElementClass.INSIDE):
             raise ValueError("tensor-product operators need a fully uncut grid")
         self.grid = grid
@@ -633,40 +628,32 @@ class TensorSystem:
         n1 = spec.n_funcs_1d
         h = grid.h
         g = gl_rule(spec.p + 1)
+        w = gll_rule(spec.p).weights
         m1 = np.zeros((n1, n1))
         k1 = np.zeros((n1, n1))
+        d = np.zeros(n1)
         for e in range(spec.n_e):
             V, D = basis_eval_1d(grid, e, g.nodes)
             f0 = spec.element_funcs_1d(e)[0]
             s = slice(f0, f0 + spec.p + 1)
             m1[s, s] += (h / 2.0) * (V * g.weights[:, None]).T @ V
             k1[s, s] += (2.0 / h) * (D * g.weights[:, None]).T @ D
+            d[s] += (h / 2.0) * w
+        # The stiffness factors stay fully integrated and only the mass
+        # uses the nodal GLL diagonal, so both operators match the
+        # element-by-element assembly.
         self.m1 = m1
         self.k1 = k1
-        self._m_is_diag = spec.family == "lagrange"
-        if self._m_is_diag:
-            # Nodal GLL quadrature diagonal, assembled exactly.  Only the
-            # mass uses it; the stiffness factors stay fully integrated so
-            # both operators match the element-by-element assembly.
-            w = gll_rule(spec.p).weights
-            d = np.zeros(n1)
-            for e in range(spec.n_e):
-                f0 = spec.element_funcs_1d(e)[0]
-                d[f0:f0 + spec.p + 1] += (h / 2.0) * w
-            self._m_diag = d
-        self._eig = None
+        self._m_diag = d
 
     @property
     def n_dof(self) -> int:
         return self.m1.shape[0] ** 3
 
     def mass_matrix(self) -> sp.csr_matrix:
-        if self._m_is_diag:
-            d = self._m_diag
-            diag = self.rho * np.einsum("i,j,k->ijk", d, d, d).ravel()
-            return sp.diags(diag).tocsr()
-        m = sp.csr_matrix(self.m1)
-        return (self.rho * sp.kron(sp.kron(m, m), m)).tocsr()
+        d = self._m_diag
+        diag = self.rho * np.einsum("i,j,k->ijk", d, d, d).ravel()
+        return sp.diags(diag).tocsr()
 
     def _apply_1d(self, A, P, axis):
         return np.moveaxis(np.tensordot(A, P, axes=(1, axis)), 0, axis)
@@ -689,44 +676,8 @@ class TensorSystem:
         return spla.LinearOperator((n, n), matvec=self.k_matvec,
                                    rmatvec=self.k_matvec, dtype=float)
 
-    def _eig_1d(self):
-        if self._eig is None:
-            import scipy.linalg
-            lam, Z = scipy.linalg.eigh(self.k1, self.m1)
-            self._eig = (lam, Z)
-        return self._eig
-
     def newmark_factorization(self, beta: float, dt: float):
-        if self._m_is_diag:
-            return _TensorCGFactorization(self, beta, dt)
-        lam, Z = self._eig_1d()
-        return _TensorFactorization(Z, lam, beta, dt, self.rho, self.c)
-
-
-class _TensorFactorization:
-    """Fast-diagonalization inverse of S = M + beta dt^2 K.
-
-    Valid only when M shares the 1D factors of K (the dense-mass case);
-    the generalized eigenbasis of (k1, m1) then diagonalizes both.
-    """
-
-    def __init__(self, Z, lam, beta, dt, rho, c):
-        self.Z = Z
-        n1 = Z.shape[0]
-        self.n = n1**3
-        L = lam[:, None, None] + lam[None, :, None] + lam[None, None, :]
-        self._denom = rho * (1.0 + beta * dt * dt * c * c * L)
-
-    def solve(self, b):
-        Z = self.Z
-        n1 = Z.shape[0]
-        P = np.asarray(b, dtype=float).reshape(n1, n1, n1)
-        for axis in range(3):
-            P = np.moveaxis(np.tensordot(Z.T, P, axes=(1, axis)), 0, axis)
-        P /= self._denom
-        for axis in range(3):
-            P = np.moveaxis(np.tensordot(Z, P, axes=(1, axis)), 0, axis)
-        return P.ravel()
+        return _TensorCGFactorization(self, beta, dt)
 
 
 class _TensorCGFactorization:
@@ -774,21 +725,26 @@ def spatial_load(grid: Grid, source: SourceSpec, alpha: float,
                  q: int | None = None) -> np.ndarray:
     """Load vector F_s[i] = integral of alpha_fcm rho f_s N_i.
 
-    Elements farther than 14 sigma from the source center contribute below
+    Every element within 14 sigma of the source is integrated on the same
+    octree leaves as the cut-element integrals (the element itself when
+    uncut); each point takes its indicator from
+    :meth:`Grid.point_alpha_mask`.  Farther elements contribute below
     double precision resolution and are skipped.
     """
+    if not 0.0 < alpha <= 1.0:
+        raise ValueError("alpha must be in (0, 1]")
     spec = grid.spec
     q = q if q is not None else spec.p + 1
+    rules = _LeafRules(grid, octree_depth, q)
     dofmap = grid.dofmap
-    n = spec.p + 1
     F = np.zeros(dofmap.n_dof)
     src_local = np.asarray(source.x_local, dtype=float)
     if grid.boundary_fitted:
         src_grid = src_local
     else:
         src_grid = grid.geom.to_global(src_local)
-    g = gl_rule(q)
     cutoff = 14.0 * source.sigma
+    whole = np.zeros((1, 3), dtype=int)   # interval ids of the element itself
     for ijk in grid.kept:
         tijk = tuple(int(v) for v in ijk)
         box = grid.element_box(tijk)
@@ -796,16 +752,16 @@ def spatial_load(grid: Grid, source: SourceSpec, alpha: float,
         if np.linalg.norm(nearest - src_grid) > cutoff:
             continue
         if grid.classes[tijk] == ElementClass.CUT:
-            rule = cut_cell_rule(grid.geom, box, q, octree_depth, alpha)
+            ids = rules.leaf_ids(box, octree_partition(grid.geom, box,
+                                                       octree_depth))
         else:
-            rule = tensor_rule(g)
-        x_grid = box.lo + (rule.xi + 1.0) / 2.0 * (box.hi - box.lo)
-        f = source.evaluate(grid.to_local(x_grid))
-        weights = rho * (grid.h / 2.0) ** 3 * rule.w * rule.alpha_fcm * f
-        Vx, _ = basis_eval_1d(grid, tijk[0], rule.xi[:, 0])
-        Vy, _ = basis_eval_1d(grid, tijk[1], rule.xi[:, 1])
-        Vz, _ = basis_eval_1d(grid, tijk[2], rule.xi[:, 2])
-        F_el = np.einsum("q,qa,qb,qc->abc", weights, Vx, Vy, Vz).ravel()
+            ids = whole
+        pts = rules.points(tijk, box, ids)
+        a_fcm = np.where(grid.point_alpha_mask(pts.x), 1.0, alpha)
+        f = source.evaluate(grid.to_local(pts.x))
+        weights = rho * (grid.h / 2.0) ** 3 * pts.w * a_fcm * f
+        F_el = np.einsum("lqrs,lqa,lrb,lsc->abc", weights, *pts.V,
+                         optimize=True).ravel()
         dofs = dofmap.element_dofs(spec.element_funcs_1d(tijk[0]),
                                    spec.element_funcs_1d(tijk[1]),
                                    spec.element_funcs_1d(tijk[2]))

@@ -189,10 +189,6 @@ class ImmersedGeometry:
         loc = self.to_local(x)
         return np.max(np.abs(loc), axis=-1) <= self.l_p / 2.0
 
-    def classify_point(self, x) -> ElementClass:
-        """Classify a single global point (boundary counts as inside)."""
-        return ElementClass.INSIDE if bool(self.contains(x)) else ElementClass.OUTSIDE
-
     def classify_boxes(self, lo, hi) -> np.ndarray:
         """Classify a batch of axis-aligned boxes, shapes (n, 3) -> (n,).
 

@@ -273,6 +273,18 @@ class BenchmarkReport:
     t_binsert: float
     fact_dim: int
 
+    @classmethod
+    def from_run(cls, cfg: BenchmarkConfig, prep: "PreparedSystem",
+                 result: RunResult) -> "BenchmarkReport":
+        """Report of one executed run; studies fill in ``error``."""
+        return cls(
+            method=cfg.method, family=cfg.family, p=cfg.p, n_e=cfg.n_e,
+            n_dof=prep.grid.n_dof, dt_crit=prep.dt_c, dt=prep.dt,
+            n_t=prep.n_t, error=None, t_fact=result.timings.factorization,
+            t_rhs=result.timings.rhs,
+            t_binsert=result.timings.backward_insertion,
+            fact_dim=result.fact_dim)
+
     def to_dict(self) -> dict:
         return asdict(self)
 
@@ -384,14 +396,7 @@ def run_benchmark(cfg: BenchmarkConfig,
     """
     prep = prepare(cfg, cache=cache)
     result = execute(prep, cfg)
-    report = BenchmarkReport(
-        method=cfg.method, family=cfg.family, p=cfg.p, n_e=cfg.n_e,
-        n_dof=prep.grid.n_dof, dt_crit=prep.dt_c, dt=prep.dt, n_t=prep.n_t,
-        error=None, t_fact=result.timings.factorization,
-        t_rhs=result.timings.rhs,
-        t_binsert=result.timings.backward_insertion,
-        fact_dim=result.fact_dim)
-    return report, result
+    return BenchmarkReport.from_run(cfg, prep, result), result
 
 
 @lru_cache(maxsize=4)
@@ -466,14 +471,7 @@ def timing_study(configs, repetitions: int = 10):
             for _ in range(repetitions):
                 result = execute(prep, cfg)
                 digests.add(_result_digest(result))
-                reps.append(BenchmarkReport(
-                    method=cfg.method, family=cfg.family, p=cfg.p,
-                    n_e=cfg.n_e, n_dof=prep.grid.n_dof, dt_crit=prep.dt_c,
-                    dt=prep.dt, n_t=prep.n_t, error=None,
-                    t_fact=result.timings.factorization,
-                    t_rhs=result.timings.rhs,
-                    t_binsert=result.timings.backward_insertion,
-                    fact_dim=result.fact_dim))
+                reps.append(BenchmarkReport.from_run(cfg, prep, result))
             out.append({
                 "config": cfg,
                 "reports": reps,

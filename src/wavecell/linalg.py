@@ -81,11 +81,6 @@ def factorize(A) -> Factorization:
     return Factorization(n, "sparse_lu", lu=lu)
 
 
-def spmv(A, x):
-    """Sparse matrix-vector product."""
-    return A @ x
-
-
 def max_gen_eig(K, M, tol=1e-9, max_iter=50000, seed=0):
     """Largest eigenvalue of ``K x = lam M x`` by power iteration.
 
@@ -128,88 +123,6 @@ def dt_crit(K, M, tol=1e-9, seed=0):
     if lam <= 0.0:
         raise ValueError("largest generalized eigenvalue must be positive")
     return 2.0 / np.sqrt(lam)
-
-
-def jacobi_eig(A, max_sweeps=100, tol=1e-12):
-    """Eigendecomposition of dense symmetric matrices by cyclic Jacobi.
-
-    Accepts a single matrix (n, n) or a batch (..., n, n); the input is
-    symmetrized as (A + A') / 2 first.  Sweeps rotate away every
-    off-diagonal pair in row-cyclic order until the largest off-diagonal
-    magnitude falls below ``tol`` times the largest initial magnitude.
-
-    Returns
-    -------
-    lam : ndarray, shape (..., n)
-        Eigenvalues in ascending order.
-    V : ndarray, shape (..., n, n)
-        Orthonormal eigenvectors as columns, A = V diag(lam) V'.
-    """
-    A = np.asarray(A, dtype=float)
-    single = A.ndim == 2
-    if single:
-        A = A[None]
-    A = 0.5 * (A + np.swapaxes(A, -1, -2)).copy()
-    batch = A.shape[:-2]
-    n = A.shape[-1]
-    A = A.reshape(-1, n, n).copy()
-    m = A.shape[0]
-    V = np.tile(np.eye(n), (m, 1, 1))
-    scale = np.max(np.abs(A), axis=(1, 2))
-    scale[scale == 0.0] = 1.0
-    off_mask = ~np.eye(n, dtype=bool)
-
-    converged = False
-    for _ in range(max_sweeps):
-        off = np.max(np.abs(A[:, off_mask]), axis=1)
-        if np.all(off <= tol * scale):
-            converged = True
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[:, p, q]
-                active = np.abs(apq) > 1e-300
-                if not np.any(active):
-                    continue
-                tau = np.zeros(m)
-                np.divide(A[:, q, q] - A[:, p, p], 2.0 * apq,
-                          out=tau, where=active)
-                # hypot keeps huge tau (tiny off-diagonal) from overflowing
-                t = np.where(
-                    active,
-                    np.sign(tau + (tau == 0.0)) / (np.abs(tau) + np.hypot(1.0, tau)),
-                    0.0)
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                cp = A[:, :, p].copy()
-                cq = A[:, :, q].copy()
-                A[:, :, p] = c[:, None] * cp - s[:, None] * cq
-                A[:, :, q] = s[:, None] * cp + c[:, None] * cq
-                rp = A[:, p, :].copy()
-                rq = A[:, q, :].copy()
-                A[:, p, :] = c[:, None] * rp - s[:, None] * rq
-                A[:, q, :] = s[:, None] * rp + c[:, None] * rq
-                A[:, p, q] = 0.0
-                A[:, q, p] = 0.0
-                vp = V[:, :, p].copy()
-                vq = V[:, :, q].copy()
-                V[:, :, p] = c[:, None] * vp - s[:, None] * vq
-                V[:, :, q] = s[:, None] * vp + c[:, None] * vq
-    else:
-        converged = bool(np.all(
-            np.max(np.abs(A[:, off_mask]), axis=1) <= tol * scale))
-    if not converged:
-        raise RuntimeError(f"Jacobi iteration did not converge in {max_sweeps} sweeps")
-
-    lam = np.diagonal(A, axis1=1, axis2=2).copy()
-    order = np.argsort(lam, axis=1)
-    lam = np.take_along_axis(lam, order, axis=1)
-    V = np.take_along_axis(V, order[:, None, :], axis=2)
-    lam = lam.reshape(*batch, n)
-    V = V.reshape(*batch, n, n)
-    if single:
-        return lam[0], V[0]
-    return lam, V
 
 
 def save_matrix_market(path, A, symmetric=True):

@@ -7,8 +7,8 @@ combined here:
 
 * alpha weighting enters through the quadrature indicator (every integrand
   is multiplied by alpha in the fictitious part), equivalent to
-  ``M = M_o + alpha (M_f - M_o)`` with ``M_o`` the physical-part integral
-  and ``M_f`` the full-element integral;
+  ``M = M_in + alpha (M_f - M_in)`` with ``M_in`` the physical-part
+  integral and ``M_f`` the full-element integral (see ``assembly``);
 * eigenvalue stabilization adds ``epsilon * M_s`` to a cut element mass
   matrix, where ``M_s`` spans the matrix's small eigenspace and is scaled
   to the magnitude of an uncut element matrix;
@@ -22,8 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .linalg import jacobi_eig
 
 LUMPING_CHOICES = ("none", "row_sum", "hrz")
 
@@ -61,15 +59,6 @@ class StabilizationParams:
             raise ValueError(f"lumping must be one of {LUMPING_CHOICES}")
 
 
-def alpha_combine(M_o, M_f, alpha):
-    """Indicator-weighted matrix ``M_o + alpha (M_f - M_o)``.
-
-    Equals an assembly whose quadrature multiplies fictitious-domain points
-    by ``alpha`` exactly, since the integrand is linear in the indicator.
-    """
-    return M_o + alpha * (M_f - M_o)
-
-
 def evs_stabilize(M_o, M_f, epsilon, f_lambda=1e-2):
     """Eigenvalue-stabilized element mass matrices.
 
@@ -83,23 +72,14 @@ def evs_stabilize(M_o, M_f, epsilon, f_lambda=1e-2):
     M_f = np.asarray(M_f, dtype=float)
     if epsilon == 0.0:
         return M_o.copy()
-    single = M_o.ndim == 2
-    lam, V = jacobi_eig(M_o)
-    if single:
-        lam, V = lam[None], V[None]
-        M_o_b = M_o[None]
-        M_f_b = M_f[None] if M_f.ndim == 2 else np.broadcast_to(M_f, M_o_b.shape)
-    else:
-        M_o_b, M_f_b = M_o, M_f
-    lam_max = lam[..., -1]
-    small = lam < (f_lambda * lam_max)[..., None]
+    lam, V = np.linalg.eigh(0.5 * (M_o + np.swapaxes(M_o, -1, -2)))
+    small = lam < f_lambda * lam[..., -1:]
     # Projector onto the small eigenspace.
     Ms = np.einsum("...ik,...k,...jk->...ij", V, small.astype(float), V)
     denom = np.max(np.abs(Ms), axis=(-2, -1))
-    num = np.max(np.abs(M_f_b), axis=(-2, -1))
+    num = np.max(np.abs(M_f), axis=(-2, -1))
     scale = np.where(denom > 0.0, num / np.where(denom > 0.0, denom, 1.0), 0.0)
-    out = M_o_b + epsilon * scale[..., None, None] * Ms
-    return out[0] if single else out
+    return M_o + epsilon * scale[..., None, None] * Ms
 
 
 def row_sum_lump(M):

@@ -290,14 +290,3 @@ def imex_run(M, K, F_s, f_t, dt: float, n_t: int, c_idx, d_idx,
     return RunResult(method="imex", dt=dt, t=rec.t, obs=rec.obs,
                      psi=psi, psi_dot=v_out, timings=timings,
                      fact_dim=c_idx.shape[0])
-
-
-def sample_history(result: RunResult, times) -> np.ndarray:
-    """Observer history linearly interpolated onto the given times."""
-    if result.obs is None:
-        raise ValueError("run was made without an observer matrix")
-    times = np.asarray(times, dtype=float)
-    out = np.empty((result.obs.shape[0], times.shape[0]))
-    for i in range(result.obs.shape[0]):
-        out[i] = np.interp(times, result.t, result.obs[i])
-    return out

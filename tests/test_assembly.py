@@ -10,18 +10,63 @@ from wavecell.assembly import (
     assemble,
     basis_eval_1d,
     benchmark_source,
-    element_matrices,
     ricker,
     spatial_load,
 )
-from wavecell.basis import BasisSpec
-from wavecell.geometry import ElementClass, ImmersedGeometry
-from wavecell.quadrature import cut_cell_rule
+from wavecell.basis import BasisSpec, gl_rule
+from wavecell.geometry import ElementClass, ImmersedGeometry, octree_partition
 from wavecell.stabilization import StabilizationParams
 
 
 def kron3(a, b, c):
     return np.kron(np.kron(a, b), c)
+
+
+def octree_points(geom, box, q, max_depth):
+    """Reference cut-cell rule, one octree leaf at a time.
+
+    Returns reference coordinates (n, 3), weights (n,) summing to 8, and
+    whether each point is inside: the leaf class for inside and outside
+    leaves, a per-point test for leaves still cut at ``max_depth``.
+    """
+    leaves = octree_partition(geom, box, max_depth)
+    g = gl_rule(q)
+    size = box.hi - box.lo
+    xi_parts, w_parts, in_parts = [], [], []
+    for i in range(len(leaves)):
+        A = 2.0 * (leaves.lo[i] - box.lo) / size - 1.0
+        B = 2.0 * (leaves.hi[i] - box.lo) / size - 1.0
+        nodes = [A[d] + (B[d] - A[d]) * (g.nodes + 1.0) / 2.0 for d in range(3)]
+        wts = [g.weights * (B[d] - A[d]) / 2.0 for d in range(3)]
+        X, Y, Z = np.meshgrid(*nodes, indexing="ij")
+        xi = np.stack([X, Y, Z], axis=-1).reshape(-1, 3)
+        w = np.einsum("i,j,k->ijk", *wts).ravel()
+        c = ElementClass(int(leaves.cls[i]))
+        if c == ElementClass.CUT:
+            inside = geom.contains(box.lo + (xi + 1.0) / 2.0 * size)
+        else:
+            inside = np.full(w.shape, c == ElementClass.INSIDE)
+        xi_parts.append(xi)
+        w_parts.append(w)
+        in_parts.append(inside)
+    return (np.concatenate(xi_parts), np.concatenate(w_parts),
+            np.concatenate(in_parts))
+
+
+def point_tables(grid, ijk, xi):
+    """Shape functions and their reference gradients at points (n, 3)."""
+    V, D = zip(*(basis_eval_1d(grid, ijk[d], xi[:, d]) for d in range(3)))
+    n = xi.shape[0]
+    N = np.einsum("qa,qb,qc->qabc", *V).reshape(n, -1)
+    grads = [np.einsum("qa,qb,qc->qabc", *(D[k] if k == d else V[k]
+                                           for k in range(3))).reshape(n, -1)
+             for d in range(3)]
+    return N, grads
+
+
+def cut_elements(grid):
+    return [tuple(int(v) for v in ijk) for ijk in grid.kept
+            if grid.classes[tuple(ijk)] == ElementClass.CUT]
 
 
 def bf_grid(family, p, n_e):
@@ -101,66 +146,106 @@ def test_matrices_affine_in_alpha(small_grid, small_cache):
 
 
 def test_cut_element_against_flat_quadrature_loop(small_grid, small_cache):
-    # Independent route: rebuild one cut element by looping over the raw
-    # octree quadrature points instead of the cached dyadic tables.
+    # Independent route: rebuild one cut element and the load vector by
+    # looping over the raw octree quadrature points instead of the cached
+    # dyadic tables.
     grid = small_grid
     spec = grid.spec
-    alpha = 1e-3
-    rho, c = 1.7, 0.6
-    cut = [tuple(int(v) for v in ijk) for ijk in grid.kept
-           if grid.classes[tuple(ijk)] == ElementClass.CUT]
+    q = spec.p + 1
+    cut = cut_elements(grid)
     ijk = cut[len(cut) // 2]
-    M_o, K_o, M_f, K_f = element_matrices(grid, ijk, alpha, rho=rho, c=c,
-                                          cache=small_cache)
+    ints = small_cache.cut_element(ijk)
+    M_full, K_full = small_cache.full_element(ijk)
 
     box = grid.element_box(ijk)
-    rule = cut_cell_rule(grid.geom, box, spec.p + 1, small_cache.octree_depth,
-                         alpha)
-    Vx, Dx = basis_eval_1d(grid, ijk[0], rule.xi[:, 0])
-    Vy, Dy = basis_eval_1d(grid, ijk[1], rule.xi[:, 1])
-    Vz, Dz = basis_eval_1d(grid, ijk[2], rule.xi[:, 2])
+    xi, w, inside = octree_points(grid.geom, box, q, small_cache.octree_depth)
+    Vx, Dx = basis_eval_1d(grid, ijk[0], xi[:, 0])
+    Vy, Dy = basis_eval_1d(grid, ijk[1], xi[:, 1])
+    Vz, Dz = basis_eval_1d(grid, ijk[2], xi[:, 2])
     n3 = (spec.p + 1) ** 3
     M_ref = np.zeros((n3, n3))
     K_ref = np.zeros((n3, n3))
     Mf_ref = np.zeros((n3, n3))
     Kf_ref = np.zeros((n3, n3))
-    for q in range(len(rule)):
-        N = (Vx[q][:, None, None] * Vy[q][None, :, None]
-             * Vz[q][None, None, :]).ravel()
-        gx = (Dx[q][:, None, None] * Vy[q][None, :, None]
-              * Vz[q][None, None, :]).ravel()
-        gy = (Vx[q][:, None, None] * Dy[q][None, :, None]
-              * Vz[q][None, None, :]).ravel()
-        gz = (Vx[q][:, None, None] * Vy[q][None, :, None]
-              * Dz[q][None, None, :]).ravel()
-        w = rule.w[q]
-        a_q = rule.alpha_fcm[q]
-        m_q = np.outer(N, N) * w
-        k_q = (np.outer(gx, gx) + np.outer(gy, gy) + np.outer(gz, gz)) * w
-        M_ref += a_q * m_q
-        K_ref += a_q * k_q
+    for i in range(len(w)):
+        N = (Vx[i][:, None, None] * Vy[i][None, :, None]
+             * Vz[i][None, None, :]).ravel()
+        gx = (Dx[i][:, None, None] * Vy[i][None, :, None]
+              * Vz[i][None, None, :]).ravel()
+        gy = (Vx[i][:, None, None] * Dy[i][None, :, None]
+              * Vz[i][None, None, :]).ravel()
+        gz = (Vx[i][:, None, None] * Vy[i][None, :, None]
+              * Dz[i][None, None, :]).ravel()
+        m_q = np.outer(N, N) * w[i]
+        k_q = (np.outer(gx, gx) + np.outer(gy, gy) + np.outer(gz, gz)) * w[i]
+        if inside[i]:
+            M_ref += m_q
+            K_ref += k_q
         Mf_ref += m_q
         Kf_ref += k_q
-    sm = rho * (grid.h / 2.0) ** 3
-    sk = rho * c * c * (grid.h / 2.0)
-    for got, want in ((M_o, sm * M_ref), (K_o, sk * K_ref),
-                      (M_f, sm * Mf_ref), (K_f, sk * Kf_ref)):
+    for got, want in ((ints.M_in, M_ref), (ints.K_in, K_ref),
+                      (M_full, Mf_ref), (K_full, Kf_ref)):
         assert np.abs(got - want).max() <= 1e-12 * max(np.abs(want).max(), 1e-30)
 
+    # Load vector: every element within 14 sigma of the source, cut ones
+    # near the source included.
+    alpha, rho = 1e-3, 1.7
+    source = benchmark_source(0.3)
+    src = grid.geom.to_global(np.asarray(source.x_local))
+    F_ref = np.zeros(grid.n_dof)
+    near_cut = 0
+    for ijk in grid.kept:
+        box = grid.element_box(ijk)
+        if np.linalg.norm(np.clip(src, box.lo, box.hi) - src) > 14.0 * source.sigma:
+            continue
+        near_cut += int(grid.classes[tuple(ijk)] == ElementClass.CUT)
+        xi, w, inside = octree_points(grid.geom, box, q, small_cache.octree_depth)
+        x = box.lo + (xi + 1.0) / 2.0 * (box.hi - box.lo)
+        f = source.evaluate(grid.geom.to_local(x))
+        N, _ = point_tables(grid, ijk, xi)
+        weights = rho * (grid.h / 2.0) ** 3 * w * np.where(inside, 1.0, alpha) * f
+        dofs = grid.dofmap.element_dofs(*(spec.element_funcs_1d(int(e))
+                                          for e in ijk))
+        np.add.at(F_ref, dofs, N.T @ weights)
+    assert near_cut > 0
+    F = spatial_load(grid, source, alpha=alpha, rho=rho,
+                     octree_depth=small_cache.octree_depth)
+    assert np.abs(F - F_ref).max() <= 1e-12 * np.abs(F_ref).max()
 
-def test_element_matrices_reject_discarded_elements(small_grid):
-    outside = np.argwhere(np.asarray(small_grid.classes) == ElementClass.OUTSIDE)
-    with pytest.raises(ValueError, match="discarded"):
-        element_matrices(small_grid, tuple(outside[0]), 1e-3)
+
+def test_cut_element_parts_sum_to_uncut_element(small_grid, small_cache):
+    # The cache stores only the inside part; the fictitious part integrated
+    # on the outside points of the same octree must complete it to the
+    # exact uncut element (q = p+1 points per leaf are exact).
+    grid = small_grid
+    q = grid.spec.p + 1
+    g = gl_rule(q)
+    for ijk in cut_elements(grid):
+        ones = [basis_eval_1d(grid, e, g.nodes) for e in ijk]
+        m1 = [(V * g.weights[:, None]).T @ V for V, _ in ones]
+        k1 = [(D * g.weights[:, None]).T @ D for _, D in ones]
+        M_uncut = kron3(*m1)
+        K_uncut = (kron3(k1[0], m1[1], m1[2]) + kron3(m1[0], k1[1], m1[2])
+                   + kron3(m1[0], m1[1], k1[2]))
+        xi, w, inside = octree_points(grid.geom, grid.element_box(ijk), q,
+                                      small_cache.octree_depth)
+        N, grads = point_tables(grid, ijk, xi)
+        w_out = np.where(inside, 0.0, w)[:, None]
+        M_fict = (N * w_out).T @ N
+        K_fict = sum((G * w_out).T @ G for G in grads)
+        ints = small_cache.cut_element(ijk)
+        for part, fict, uncut in ((ints.M_in, M_fict, M_uncut),
+                                  (ints.K_in, K_fict, K_uncut)):
+            assert np.abs(part + fict - uncut).max() <= 1e-13 * np.abs(uncut).max()
 
 
 def test_cut_element_fictitious_mass_total(small_grid, small_cache):
-    cut = [tuple(int(v) for v in ijk) for ijk in small_grid.kept
-           if small_grid.classes[tuple(ijk)] == ElementClass.CUT]
-    _, _, M_f, _ = element_matrices(small_grid, cut[0], 1e-8, rho=2.0,
-                                    cache=small_cache)
-    # indicator of one everywhere: total mass is rho * element volume
-    assert abs(M_f.sum() - 2.0 * small_grid.h**3) <= 1e-9 * small_grid.h**3
+    # indicator of one everywhere: every kept element, cut ones included,
+    # carries mass rho * element volume
+    system = assemble(small_grid, StabilizationParams(alpha=1.0), rho=2.0,
+                      cache=small_cache)
+    h3 = small_grid.h**3
+    assert abs(system.M.sum() - 2.0 * small_grid.n_kept * h3) <= 1e-9 * h3
 
 
 def test_cd_partition_matches_support_scan(small_grid):
@@ -191,7 +276,7 @@ def test_boundary_fitted_dof_count():
     assert bf_grid("lagrange", 3, 10).n_dof == 31**3
 
 
-@pytest.mark.parametrize("family", ["lagrange", "bspline"])
+@pytest.mark.parametrize("family", ["lagrange"])
 def test_tensor_operators_match_assembly(family):
     grid = bf_grid(family, 2, 3)
     tensor = TensorSystem(grid, rho=1.3, c=0.7)
@@ -204,7 +289,7 @@ def test_tensor_operators_match_assembly(family):
     assert np.abs(tensor.k_matvec(x) - want).max() <= 1e-12 * np.abs(want).max()
 
 
-@pytest.mark.parametrize("family", ["lagrange", "bspline"])
+@pytest.mark.parametrize("family", ["lagrange"])
 def test_tensor_newmark_factorization_residual(family):
     grid = bf_grid(family, 3, 3)
     tensor = TensorSystem(grid)
@@ -221,6 +306,12 @@ def test_tensor_newmark_factorization_residual(family):
 def test_tensor_system_rejects_cut_grids(small_grid):
     with pytest.raises(ValueError):
         TensorSystem(small_grid)
+
+
+def test_tensor_system_rejects_bspline_grids():
+    # boundary-fitted B-spline runs go through assemble
+    with pytest.raises(ValueError, match="Lagrange"):
+        TensorSystem(bf_grid("bspline", 2, 3))
 
 
 def test_spatial_load_total():

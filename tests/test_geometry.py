@@ -68,15 +68,15 @@ def test_to_local_center_and_identity():
     assert np.allclose(g.to_local(x), x - g.center, atol=1e-15)
 
 
-def test_classify_point_closed_cube(benchmark_geometry):
+def test_contains_closed_cube(benchmark_geometry):
     g = benchmark_geometry
     r = g.l_p / 2.0
-    assert g.classify_point(g.center) == ElementClass.INSIDE
+    assert g.contains(g.center)
     # |x'_1| = l_p is well outside
-    assert g.classify_point(g.to_global([2.0 * r, 0.0, 0.0])) == ElementClass.OUTSIDE
+    assert not g.contains(g.to_global([2.0 * r, 0.0, 0.0]))
     # a face point belongs to the closed cube
-    assert g.classify_point(g.to_global([r, 0.0, 0.0])) == ElementClass.INSIDE
-    assert g.classify_point(g.to_global([r, r, r])) == ElementClass.INSIDE
+    assert g.contains(g.to_global([r, 0.0, 0.0]))
+    assert g.contains(g.to_global([r, r, r]))
 
 
 def test_classify_box_cases(benchmark_geometry):
@@ -100,7 +100,7 @@ def test_classify_box_agrees_with_point_on_degenerate_boxes(benchmark_geometry):
         klass = g.classify_box(b)
         if klass == ElementClass.CUT:
             continue  # the point sits within eps of the boundary
-        assert klass == g.classify_point(x)
+        assert (klass == ElementClass.INSIDE) == bool(g.contains(x))
 
 
 def test_sat_against_dense_sampling(benchmark_geometry):

@@ -12,11 +12,9 @@ from wavecell.linalg import (
     dt_crit,
     factorize,
     is_structurally_diagonal,
-    jacobi_eig,
     load_matrix_market,
     max_gen_eig,
     save_matrix_market,
-    spmv,
 )
 from wavecell.stabilization import StabilizationParams
 
@@ -78,15 +76,6 @@ def test_structurally_diagonal_detection():
         sp.csr_matrix(np.array([[1.0, 0.5], [0.5, 1.0]])))
 
 
-def test_spmv_matches_dense():
-    rng = np.random.default_rng(1)
-    A = rng.standard_normal((5, 5))
-    A[np.abs(A) < 0.7] = 0.0
-    x = rng.standard_normal(5)
-    assert np.allclose(spmv(sp.csr_matrix(A), x), A @ x, atol=1e-14)
-    assert np.allclose(spmv(sp.identity(5, format="csr"), x), x)
-
-
 def test_max_gen_eig_diagonal_pair():
     K = sp.diags([1.0, 2.0, 3.0]).tocsr()
     M = sp.identity(3, format="csr")
@@ -141,46 +130,6 @@ def test_dt_crit_simple_value():
     K = sp.diags([4.0, 1.0]).tocsr()
     M = sp.identity(2, format="csr")
     assert dt_crit(K, M, tol=1e-12) == pytest.approx(1.0, rel=1e-10)
-
-
-def test_jacobi_eig_diagonal_input():
-    lam, V = jacobi_eig(np.diag([3.0, 1.0, 2.0]))
-    assert np.allclose(lam, [1.0, 2.0, 3.0])
-    assert np.allclose(np.abs(V.T @ V), np.eye(3), atol=1e-14)
-
-
-def test_jacobi_eig_two_by_two():
-    A = np.array([[2.0, 1.0], [1.0, 2.0]])
-    lam, V = jacobi_eig(A)
-    assert np.allclose(lam, [1.0, 3.0], atol=1e-12)
-    v1 = V[:, 0] * np.sign(V[0, 0])
-    v2 = V[:, 1] * np.sign(V[0, 1])
-    s = 1.0 / np.sqrt(2.0)
-    assert np.allclose(v1, [s, -s], atol=1e-12)
-    assert np.allclose(v2, [s, s], atol=1e-12)
-
-
-def test_jacobi_eig_reconstruction():
-    rng = np.random.default_rng(4)
-    B = rng.standard_normal((30, 30))
-    A = B + B.T
-    lam, V = jacobi_eig(A)
-    assert np.all(np.diff(lam) >= 0.0)
-    assert np.linalg.norm(V.T @ V - np.eye(30)) <= 1e-12 * 30
-    R = V @ np.diag(lam) @ V.T
-    assert np.linalg.norm(R - A) <= 1e-10 * np.linalg.norm(A)
-
-
-def test_jacobi_eig_batch_matches_singles():
-    rng = np.random.default_rng(9)
-    B = rng.standard_normal((4, 6, 6))
-    A = B + np.transpose(B, (0, 2, 1))
-    lam, V = jacobi_eig(A)
-    for k in range(4):
-        lam_k, _ = jacobi_eig(A[k])
-        assert np.allclose(lam[k], lam_k, atol=1e-10)
-        R = V[k] @ np.diag(lam[k]) @ V[k].T
-        assert np.linalg.norm(R - A[k]) <= 1e-10 * np.linalg.norm(A[k])
 
 
 def test_matrix_market_round_trip(tmp_path):

@@ -1,80 +1,130 @@
+"""Cut-cell octree quadrature, seen through its two users: the inside-part
+integrals of ``ElementIntegralCache`` and the load vector ``spatial_load``.
+
+Each test box is reproduced as the only element of a one-element grid
+(origin at the box's lower corner, element size its width).  For the
+Lagrange family the basis is a partition of unity, so the entries of
+``M_in`` sum to the inside reference volume (8 for a fully inside element).
+"""
+
 import numpy as np
 import pytest
 
-from wavecell.basis import gl_rule, gll_rule
+from wavecell.assembly import (ElementIntegralCache, Grid, SourceSpec,
+                               basis_eval_1d, spatial_load)
+from wavecell.basis import BasisSpec, gl_rule
 from wavecell.geometry import Box, ElementClass, ImmersedGeometry
-from wavecell.quadrature import cut_cell_rule, indicator_volume, tensor_rule
+
+ORIGIN = (0, 0, 0)
+
+# Wide enough that the source is 1 to 1e-13 over every test box: the load
+# vector then integrates the indicator alone.
+FLAT = SourceSpec(x_local=(0.0, 0.0, 0.0), sigma=1e6)
 
 
 def axis_aligned_geometry():
     return ImmersedGeometry.from_angles(0.3, 0.5, (0.0, 0.0, 0.0))
 
 
+def one_element_grid(geom, box, p=2, klass=ElementClass.CUT):
+    """Grid whose only element is the cube ``box``, classified ``klass``."""
+    return Grid(geom=geom, spec=BasisSpec(family="lagrange", p=p, n_e=1),
+                boundary_fitted=False, origin=box.lo,
+                h=float(box.hi[0] - box.lo[0]),
+                classes=np.full((1, 1, 1), klass, dtype=np.int8),
+                kept=np.zeros((1, 3), dtype=int))
+
+
+def inside_volume(geom, box, depth):
+    """Inside reference volume of ``box`` by the cache (q = 3)."""
+    cache = ElementIntegralCache(one_element_grid(geom, box), octree_depth=depth)
+    return float(cache.cut_element(ORIGIN).M_in.sum())
+
+
+def inside_box():
+    g = axis_aligned_geometry()
+    b = Box(np.array([0.24, 0.24, 0.24]), np.array([0.26, 0.26, 0.26]))
+    assert g.classify_box(b) == ElementClass.INSIDE
+    return g, b
+
+
 def test_tensor_rule_single_point():
-    r = tensor_rule(gl_rule(1))
-    assert len(r) == 1
-    assert np.allclose(r.w, [8.0])
-    assert np.allclose(r.alpha_fcm, [1.0])
-
-
-def test_tensor_rule_q2():
-    r = tensor_rule(gl_rule(2))
-    assert len(r) == 8
-    assert np.allclose(r.w, np.ones(8))
+    # q = 1 on an uncut element: one point at the center with weight 8, so
+    # the load lands on the center node only (p = 2 has a node there).
+    grid = one_element_grid(*inside_box(), klass=ElementClass.INSIDE)
+    F = spatial_load(grid, FLAT, alpha=1.0, q=1).reshape(3, 3, 3)
+    h3 = grid.h**3
+    assert abs(F[1, 1, 1] - h3) <= 1e-12 * h3
+    F[1, 1, 1] = 0.0
+    assert np.abs(F).max() <= 1e-15 * h3
 
 
 @pytest.mark.parametrize("q", [1, 2, 3, 5])
 def test_tensor_rule_weight_sum(q):
-    for rule1d in (gl_rule(q), gll_rule(q)):
-        r = tensor_rule(rule1d)
-        assert abs(r.w.sum() - 8.0) < 1e-10
-        assert len(r) == len(rule1d) ** 3
+    # the uncut element's tensor rule tiles the reference cube for any q
+    grid = one_element_grid(*inside_box(), klass=ElementClass.INSIDE)
+    F = spatial_load(grid, FLAT, alpha=1.0, q=q)
+    assert abs(F.sum() / (grid.h / 2.0) ** 3 - 8.0) < 1e-10
 
 
 def test_cut_rule_on_inside_element_reduces_to_tensor():
-    g = axis_aligned_geometry()
-    b = Box(np.array([0.24, 0.24, 0.24]), np.array([0.26, 0.26, 0.26]))
-    assert g.classify_box(b) == ElementClass.INSIDE
-    r = cut_cell_rule(g, b, 3, 4, 1e-4)
-    t = tensor_rule(gl_rule(3))
-    order = np.lexsort((r.xi[:, 2], r.xi[:, 1], r.xi[:, 0]))
-    order_t = np.lexsort((t.xi[:, 2], t.xi[:, 1], t.xi[:, 0]))
-    assert np.allclose(r.xi[order], t.xi[order_t], atol=1e-14)
-    assert np.allclose(r.w[order], t.w[order_t], atol=1e-14)
-    assert np.allclose(r.alpha_fcm, 1.0)
+    # An inside box stays one octree leaf: its inside part is the plain
+    # tensor-product element, and its load equals the uncut element's.
+    g, b = inside_box()
+    grid = one_element_grid(g, b)
+    cache = ElementIntegralCache(grid, octree_depth=4)
+    ints = cache.cut_element(ORIGIN)
+    M_full, K_full = cache.full_element(ORIGIN)
+    assert np.abs(ints.M_in - M_full).max() <= 1e-14 * np.abs(M_full).max()
+    assert np.abs(ints.K_in - K_full).max() <= 1e-14 * np.abs(K_full).max()
+    src = SourceSpec(x_local=(0.0, 0.0, 0.0), sigma=0.01)
+    F_cut = spatial_load(grid, src, alpha=1e-4, octree_depth=4)
+    F_uncut = spatial_load(one_element_grid(g, b, klass=ElementClass.INSIDE),
+                           src, alpha=1e-4, octree_depth=4)
+    assert np.abs(F_cut - F_uncut).max() <= 1e-14 * np.abs(F_uncut).max()
 
 
 def test_cut_rule_on_outside_element_scales_by_alpha():
     g = axis_aligned_geometry()
     b = Box(np.array([0.01, 0.01, 0.01]), np.array([0.05, 0.05, 0.05]))
     assert g.classify_box(b) == ElementClass.OUTSIDE
+    grid = one_element_grid(g, b)
+    ints = ElementIntegralCache(grid, octree_depth=4).cut_element(ORIGIN)
+    assert not ints.M_in.any() and not ints.K_in.any()
     alpha = 1e-4
-    r = cut_cell_rule(g, b, 2, 4, alpha)
-    assert np.allclose(r.alpha_fcm, alpha)
-    assert abs(indicator_volume(r) - 8.0 * alpha) < 1e-12
+    F_one = spatial_load(grid, FLAT, alpha=1.0, octree_depth=4)
+    F_alpha = spatial_load(grid, FLAT, alpha=alpha, octree_depth=4)
+    assert np.abs(F_one).max() > 0.0
+    assert np.abs(F_alpha - alpha * F_one).max() <= 1e-15 * np.abs(F_one).max()
 
 
 def test_cut_rule_weights_tile_reference_volume():
-    # weights alone always sum to 8, independent of alpha and depth
+    # Leaf weights tile the element at every depth, and the load sees the
+    # same inside volume as the cache: with a flat source the indicator-
+    # weighted load sums to V_in + alpha (8 - V_in) in reference measure.
     g = ImmersedGeometry.from_angles(0.3, 0.5, (10.0, 10.0, 10.0))
     face_pt = g.to_global([0.15, 0.0, 0.0])
     b = Box(face_pt - 0.02, face_pt + 0.02)
+    grid = one_element_grid(g, b)
+    ref = (grid.h / 2.0) ** 3
+    alpha = 1e-8
     for depth in range(6):
-        r = cut_cell_rule(g, b, 3, depth, 1e-8)
-        assert abs(r.w.sum() - 8.0) < 1e-10
-        assert (r.w > 0.0).all()
-        assert np.isin(r.alpha_fcm, [1e-8, 1.0]).all()
+        F_one = spatial_load(grid, FLAT, alpha=1.0, octree_depth=depth)
+        assert abs(F_one.sum() / ref - 8.0) < 1e-10
+        v_in = inside_volume(g, b, depth)
+        assert 0.0 < v_in < 8.0
+        F_alpha = spatial_load(grid, FLAT, alpha=alpha, octree_depth=depth)
+        assert abs(F_alpha.sum() / ref - (v_in + alpha * (8.0 - v_in))) < 1e-10
 
 
 def test_half_cut_element_indicator_volume():
     # A box centered on a face plane is split exactly in half regardless
-    # of the rotation (central symmetry), so sum(w alpha) -> 4.
+    # of the rotation (central symmetry), so the inside volume -> 4.
     g = ImmersedGeometry.from_angles(0.3, 0.5, (10.0, 10.0, 10.0))
     face_pt = g.to_global([0.15, 0.0, 0.0])
     b = Box(face_pt - 0.025, face_pt + 0.025)
     assert g.classify_box(b) == ElementClass.CUT
-    r = cut_cell_rule(g, b, 3, 4, 1e-30)
-    assert abs(indicator_volume(r) - 4.0) < 0.05
+    assert abs(inside_volume(g, b, 4) - 4.0) < 0.05
 
 
 def test_indicator_volume_error_halves_per_depth():
@@ -86,10 +136,7 @@ def test_indicator_volume_error_halves_per_depth():
     a = 0.4 - W / 3.0  # cube face at x = 0.40
     b = Box(np.array([a, 0.2, 0.2]), np.array([a + W, 0.3, 0.3]))
     true = 8.0 / 3.0
-    errs = []
-    for depth in range(6):
-        r = cut_cell_rule(g, b, 3, depth, 1e-30)
-        errs.append(abs(indicator_volume(r) - true))
+    errs = [abs(inside_volume(g, b, depth) - true) for depth in range(6)]
     for e0, e1 in zip(errs[:-1], errs[1:]):
         assert 0.3 <= e1 / e0 <= 0.7
 
@@ -99,8 +146,7 @@ def test_indicator_volume_monotone_toward_volume_fraction():
     face_pt = g.to_global([0.15, 0.02, -0.03])
     b = Box(face_pt - 0.02, face_pt + 0.02)
     target = 8.0 * g.volume_fraction(b)
-    errs = [abs(indicator_volume(cut_cell_rule(g, b, 3, d, 1e-30)) - target)
-            for d in range(6)]
+    errs = [abs(inside_volume(g, b, d) - target) for d in range(6)]
     assert errs[-1] < errs[0]
     assert errs[-1] < 0.01
 
@@ -108,19 +154,30 @@ def test_indicator_volume_monotone_toward_volume_fraction():
 def test_cut_rule_rejects_bad_alpha():
     g = axis_aligned_geometry()
     b = Box(np.array([0.35, 0.2, 0.2]), np.array([0.45, 0.3, 0.3]))
-    with pytest.raises(ValueError):
-        cut_cell_rule(g, b, 3, 2, 0.0)
-    with pytest.raises(ValueError):
-        cut_cell_rule(g, b, 3, 2, 1.5)
+    grid = one_element_grid(g, b)
+    for alpha in (0.0, 1.5):
+        with pytest.raises(ValueError):
+            spatial_load(grid, FLAT, alpha=alpha, octree_depth=2)
 
 
 def test_max_depth_leaves_classify_pointwise():
     # at depth 0 a cut element is one leaf; every quadrature point gets
-    # its own indicator value
+    # its own indicator value, in the cache and in the load
     g = axis_aligned_geometry()
     b = Box(np.array([0.35, 0.2, 0.2]), np.array([0.45, 0.3, 0.3]))
+    grid = one_element_grid(g, b, p=3)
     alpha = 1e-6
-    r = cut_cell_rule(g, b, 4, 0, alpha)
-    x_global = b.lo + (r.xi + 1.0) / 2.0 * (b.hi - b.lo)
-    expect = np.where(g.contains(x_global), 1.0, alpha)
-    assert np.array_equal(r.alpha_fcm, expect)
+    rule = gl_rule(4)
+    X, Y, Z = np.meshgrid(rule.nodes, rule.nodes, rule.nodes, indexing="ij")
+    xi = np.stack([X, Y, Z], axis=-1).reshape(-1, 3)
+    w = np.einsum("i,j,k->ijk", rule.weights, rule.weights, rule.weights).ravel()
+    inside = g.contains(b.lo + (xi + 1.0) / 2.0 * (b.hi - b.lo))
+    assert inside.any() and not inside.all()
+    V = [basis_eval_1d(grid, 0, xi[:, d])[0] for d in range(3)]
+    N = np.einsum("qa,qb,qc->qabc", *V).reshape(len(w), -1)
+    M_in = (N * np.where(inside, w, 0.0)[:, None]).T @ N
+    ints = ElementIntegralCache(grid, octree_depth=0).cut_element(ORIGIN)
+    assert np.abs(ints.M_in - M_in).max() <= 1e-14 * np.abs(M_in).max()
+    F = spatial_load(grid, FLAT, alpha=alpha, octree_depth=0)
+    F_ref = (grid.h / 2.0) ** 3 * N.T @ (w * np.where(inside, 1.0, alpha))
+    assert np.abs(F - F_ref).max() <= 1e-13 * np.abs(F_ref).max()

@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from wavecell.assembly import assemble, element_matrices
+from wavecell.assembly import assemble
 from wavecell.geometry import ElementClass
 from wavecell.stabilization import (
     StabilizationParams,
-    alpha_combine,
     evs_stabilize,
     hrz_lump,
     row_sum_lump,
@@ -15,14 +14,6 @@ from wavecell.stabilization import (
 
 def consistent_p1_mass(rho, h):
     return rho * h / 6.0 * np.array([[2.0, 1.0], [1.0, 2.0]])
-
-
-def test_alpha_combine_endpoints_and_midpoint():
-    M_o = np.diag([1.0, 1.0])
-    M_f = np.diag([3.0, 3.0])
-    assert np.array_equal(alpha_combine(M_o, M_f, 1.0), M_f)
-    assert np.array_equal(alpha_combine(M_o, M_f, 0.0), M_o)
-    assert np.array_equal(alpha_combine(M_o, M_f, 0.5), np.diag([2.0, 2.0]))
 
 
 def test_evs_two_by_two_hand_case():
@@ -63,8 +54,9 @@ def test_evs_lifts_small_eigenvalues_monotonically(small_grid, small_cache):
             if small_grid.classes[tuple(ijk)] == ElementClass.CUT]
     best = None
     for ijk in cuts:
-        M_o, _, M_f, _ = element_matrices(small_grid, ijk, 1e-10,
-                                          cache=small_cache)
+        M_in = small_cache.cut_element(ijk).M_in
+        M_f, _ = small_cache.full_element(ijk)
+        M_o = M_in + 1e-10 * (M_f - M_in)
         lo = np.linalg.eigvalsh(M_o)[0]
         if best is None or lo < best[0]:
             best = (lo, M_o, M_f)

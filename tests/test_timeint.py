@@ -10,7 +10,6 @@ from wavecell.timeint import (
     imex_critical_time_step,
     imex_run,
     newmark_run,
-    sample_history,
     select_dt,
 )
 
@@ -207,23 +206,6 @@ def test_select_dt_rules():
     assert select_dt(1.0) == pytest.approx(0.9)
     assert select_dt(1.0, 0.5) == 0.5
     assert select_dt(1.0, None, safety=0.5) == pytest.approx(0.5)
-
-
-def test_sample_history_interpolates():
-    M, K = bar_system()
-    F = np.array([0.0, 1.0, 0.0, 0.0])
-    obs = sp.identity(4, format="csr")
-    f = lambda t: np.sin(4.0 * t)
-    r = cdm_run(M, K, F, f, 0.1, 10, obs_mat=obs)
-    times = np.array([0.05, 0.55, 1.0])
-    out = sample_history(r, times)
-    assert out.shape == (4, 3)
-    for i in range(4):
-        assert np.allclose(out[i], np.interp(times, r.t, r.obs[i]),
-                           atol=1e-15)
-    r_blind = cdm_run(M, K, F, f, 0.1, 10)
-    with pytest.raises(ValueError):
-        sample_history(r_blind, times)
 
 
 def test_timings_and_fact_dims_reported():
