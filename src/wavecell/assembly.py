@@ -495,14 +495,6 @@ class DiscreteSystem:
     def n_dof(self) -> int:
         return self.M.shape[0]
 
-    @property
-    def c_idx(self) -> np.ndarray:
-        return self.grid.dofmap.c_idx
-
-    @property
-    def d_idx(self) -> np.ndarray:
-        return self.grid.dofmap.d_idx
-
 
 def assemble(grid: Grid, params: StabilizationParams, rho: float = 1.0,
              c: float = 1.0, source: SourceSpec | None = None,
@@ -700,7 +692,6 @@ class _TensorCGFactorization:
         scale = beta * dt * dt
         kmv = tensor.k_matvec
         self._mdiag = d
-        self._scale = scale
         self._op = spla.LinearOperator(
             (self.n, self.n), matvec=lambda x: d * x + scale * kmv(x),
             dtype=float)
@@ -710,8 +701,7 @@ class _TensorCGFactorization:
     def solve(self, b):
         import scipy.sparse.linalg as spla
         b = np.asarray(b, dtype=float)
-        if self._scale == 0.0:
-            return b / self._mdiag
+        # At beta = 0 the start x0 = M^-1 b is already the solution.
         x, info = spla.cg(self._op, b, x0=b / self._mdiag, rtol=self.RTOL,
                           atol=0.0, maxiter=1000, M=self._precond)
         if info != 0:

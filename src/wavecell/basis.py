@@ -211,11 +211,6 @@ class BasisSpec:
             return self.n_e * self.p + 1
         return self.n_e + self.p
 
-    @property
-    def funcs_per_element(self) -> int:
-        """Nonzero functions per element per direction (always p+1)."""
-        return self.p + 1
-
     def element_funcs_1d(self, e: int) -> np.ndarray:
         """Global indices of the functions supported on element ``e``."""
         if self.family == "lagrange":

@@ -86,25 +86,12 @@ class Box:
             raise ValueError("box upper corner must exceed lower corner")
 
     @property
-    def center(self) -> np.ndarray:
-        return 0.5 * (self.lo + self.hi)
-
-    @property
-    def halfwidth(self) -> np.ndarray:
-        return 0.5 * (self.hi - self.lo)
-
-    @property
     def volume(self) -> float:
         return float(np.prod(self.hi - self.lo))
 
     def corners(self) -> np.ndarray:
         """All 8 corners, shape (8, 3), z fastest."""
         return _box_corners(self.lo[None, :], self.hi[None, :])[0]
-
-    def octants(self) -> list["Box"]:
-        """The 8 congruent children of a midpoint subdivision."""
-        lo, hi = _split_octants(self.lo[None, :], self.hi[None, :])
-        return [Box(lo[i], hi[i]) for i in range(8)]
 
 
 _CORNER_UNIT = np.array(

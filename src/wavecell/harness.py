@@ -42,6 +42,19 @@ STUDY_COLUMNS = ("method", "p", "n_e", "n_dof", "dt_crit", "dt", "error",
 
 EIG_TOL = 1.0e-7
 
+# Sections of the JSON config and the BenchmarkConfig fields each holds, in
+# file order; ``seed`` sits at the top level.
+CONFIG_SECTIONS = {
+    "discretization": ("family", "p", "n_e", "boundary_fitted",
+                       "octree_depth"),
+    "geometry": ("l_p", "l_e", "angles_deg"),
+    "material": ("rho", "c"),
+    "source": ("sigma", "f_e", "x_local"),
+    "stabilization": ("alpha", "epsilon", "f_lambda", "lumping"),
+    "integrator": ("method", "T", "dt", "n_t", "dt_max", "safety", "beta",
+                   "gamma"),
+}
+
 
 def build_observers(l_p: float) -> np.ndarray:
     """The 11 observer points in local coordinates, fixed order."""
@@ -195,51 +208,28 @@ class BenchmarkConfig:
         return SourceSpec(x_local=tuple(x), sigma=self.sigma)
 
     def to_dict(self) -> dict:
-        return {
-            "discretization": {
-                "family": self.family, "p": self.p, "n_e": self.n_e,
-                "boundary_fitted": self.boundary_fitted,
-                "octree_depth": self.octree_depth},
-            "geometry": {"l_p": self.l_p, "l_e": self.l_e,
-                         "angles_deg": list(self.angles_deg)},
-            "material": {"rho": self.rho, "c": self.c},
-            "source": {"sigma": self.sigma, "f_e": self.f_e,
-                       "x_local": (list(self.x_local)
-                                   if self.x_local is not None else None)},
-            "stabilization": {"alpha": self.alpha, "epsilon": self.epsilon,
-                              "f_lambda": self.f_lambda,
-                              "lumping": self.lumping},
-            "integrator": {"method": self.method, "T": self.T,
-                           "dt": self.dt, "n_t": self.n_t,
-                           "dt_max": self.dt_max, "safety": self.safety,
-                           "beta": self.beta, "gamma": self.gamma},
-            "seed": self.seed,
-        }
+        def plain(value):      # JSON has lists, not tuples
+            return list(value) if isinstance(value, tuple) else value
+
+        out = {section: {key: plain(getattr(self, key)) for key in keys}
+               for section, keys in CONFIG_SECTIONS.items()}
+        out["seed"] = self.seed
+        return out
 
     @classmethod
     def from_dict(cls, data: dict) -> "BenchmarkConfig":
         kw = {}
-        groups = {
-            "discretization": ("family", "p", "n_e", "boundary_fitted",
-                               "octree_depth"),
-            "geometry": ("l_p", "l_e", "angles_deg"),
-            "material": ("rho", "c"),
-            "source": ("sigma", "f_e", "x_local"),
-            "stabilization": ("alpha", "epsilon", "f_lambda", "lumping"),
-            "integrator": ("method", "T", "dt", "n_t", "dt_max", "safety",
-                           "beta", "gamma"),
-        }
-        for group, keys in groups.items():
-            sub = data.get(group, {})
+        for section, keys in CONFIG_SECTIONS.items():
+            sub = data.get(section, {})
             unknown = set(sub) - set(keys)
             if unknown:
-                raise ValueError(f"unknown keys in {group!r}: {sorted(unknown)}")
+                raise ValueError(f"unknown keys in {section!r}: {sorted(unknown)}")
             for key in keys:
                 if key in sub:
                     kw[key] = sub[key]
         if "seed" in data:
             kw["seed"] = data["seed"]
-        unknown = set(data) - set(groups) - {"seed"}
+        unknown = set(data) - set(CONFIG_SECTIONS) - {"seed"}
         if unknown:
             raise ValueError(f"unknown config sections: {sorted(unknown)}")
         for key in ("angles_deg", "x_local"):
@@ -340,15 +330,14 @@ def prepare(cfg: BenchmarkConfig,
         M, K, F_s = system.M, system.K, system.F_s
     obs_mat = observer_matrix(grid)
 
+    # Every branch resolves n_t, so that dt = T / n_t ends the run at T.
     dt_c = None
-    if cfg.dt is not None:
-        dt = float(cfg.dt)
-        n_t = int(np.ceil(cfg.T / dt - 1e-12))
-    elif cfg.n_t is not None:
+    if cfg.dt is None and cfg.n_t is not None:
         n_t = int(cfg.n_t)
-        dt = cfg.T / n_t
     else:
-        if cfg.method == "imex":
+        if cfg.dt is not None:
+            dt_target = float(cfg.dt)
+        elif cfg.method == "imex":
             dt_c = imex_critical_time_step(K, M, grid.dofmap.d_idx,
                                            tol=EIG_TOL, seed=cfg.seed)
             dt_target = select_dt(dt_c, cfg.dt_max, cfg.safety)
@@ -359,7 +348,7 @@ def prepare(cfg: BenchmarkConfig,
             dt_c = dt_crit(K, M, tol=EIG_TOL, seed=cfg.seed)
             dt_target = select_dt(dt_c, cfg.dt_max, cfg.safety)
         n_t = int(np.ceil(cfg.T / dt_target - 1e-12))
-        dt = cfg.T / n_t
+    dt = cfg.T / n_t
     return PreparedSystem(grid=grid, M=M, K=K, F_s=F_s, obs_mat=obs_mat,
                           tensor=tensor, dt_c=dt_c, dt=dt, n_t=n_t)
 

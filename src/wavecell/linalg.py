@@ -1,15 +1,14 @@
 """Sparse symmetric linear algebra used by the solvers.
 
-Matrices are stored in scipy CSR form.  Factorization goes through SuperLU
-in symmetric mode with pure diagonal pivoting; under a symmetric permutation
-this is an LDL^T factorization in disguise, so the signs of the U diagonal
-give the inertia and a non-positive pivot reliably flags an indefinite
-matrix (for example a row-sum lumped mass with negative entries).  Diagonal
-matrices are detected structurally and solved directly.
-
-The largest generalized eigenvalue of (K, M), which sets the critical time
-step of explicit integration, is computed by power iteration on M^-1 K with
-a deterministic seeded start vector and a Rayleigh-quotient estimate.
+``factorize`` is the one place that knows how a matrix is structured:
+rows without a nonzero off-diagonal entry (the nodal-quadrature mass away
+from cut elements) are solved by division, the coupled rest by one SuperLU
+factor in symmetric mode with pure diagonal pivoting.  Under a symmetric
+permutation that is an LDL^T factorization in disguise, so a non-positive
+pivot reliably flags an indefinite matrix (for example a row-sum lumped
+mass with negative entries).  The largest generalized eigenvalue of
+(K, M), which sets the critical step of explicit integration, comes from
+ARPACK's Lanczos method with a seeded start vector.
 """
 
 from __future__ import annotations
@@ -25,96 +24,93 @@ class IndefiniteMatrixError(RuntimeError):
 
 
 class Factorization:
-    """Factored form of a sparse symmetric positive definite matrix."""
+    """Factored form of a sparse symmetric positive definite matrix.
 
-    def __init__(self, n, kind, diag=None, lu=None):
-        self.n = n
-        self.kind = kind          # "diagonal" or "sparse_lu"
-        self._diag = diag
+    ``coupled`` holds the sorted indices of the rows with a nonzero
+    off-diagonal entry, solved by one LU of their block; every other row
+    is solved by division by ``diag``.
+    """
+
+    def __init__(self, diag, coupled, lu):
+        self.n = diag.shape[0]
+        self.diag = diag
+        self.coupled = coupled
         self._lu = lu
 
     def solve(self, b):
         b = np.asarray(b, dtype=float)
-        if self.kind == "diagonal":
-            if b.ndim == 1:
-                return b / self._diag
-            return b / self._diag[:, None]
-        return self._lu.solve(b)
-
-
-def is_structurally_diagonal(A) -> bool:
-    """True if all stored nonzero entries of A lie on the diagonal."""
-    coo = sp.csr_matrix(A).tocoo()
-    mask = coo.data != 0.0
-    return bool(np.all(coo.row[mask] == coo.col[mask]))
+        x = b / (self.diag if b.ndim == 1 else self.diag[:, None])
+        if self.coupled.size:
+            x[self.coupled] = self._lu.solve(b[self.coupled])
+        return x
 
 
 def factorize(A) -> Factorization:
-    """Factor a sparse symmetric positive definite matrix.
+    """Factor a sparse symmetric positive definite matrix without modifying it.
 
-    Diagonal matrices take a fast path.  General matrices are factored by
-    SuperLU with a fill-reducing symmetric ordering; a non-positive pivot
-    raises :class:`IndefiniteMatrixError`.
+    Coupling is read from the rows, which suffices for a symmetric matrix;
+    stored zeros do not couple.  A non-positive pivot or isolated diagonal
+    entry raises :class:`IndefiniteMatrixError`.
     """
     A = sp.csr_matrix(A)
     n = A.shape[0]
     if A.shape[0] != A.shape[1]:
         raise ValueError("matrix must be square")
-    if is_structurally_diagonal(A):
-        d = A.diagonal()
-        if np.any(d <= 0.0) or not np.all(np.isfinite(d)):
-            raise IndefiniteMatrixError(
-                "diagonal matrix has non-positive entries; "
-                "check the stabilization and lumping settings")
-        return Factorization(n, "diagonal", diag=d.copy())
-    try:
-        lu = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                       diag_pivot_thresh=0.0,
-                       options={"SymmetricMode": True})
-    except RuntimeError as exc:   # singular factor
-        raise IndefiniteMatrixError(f"factorization failed: {exc}") from exc
-    pivots = lu.U.diagonal()
+    d = A.diagonal()
+    rows = np.repeat(np.arange(n), np.diff(A.indptr))
+    is_coupled = np.zeros(n, dtype=bool)
+    is_coupled[rows[(A.indices != rows) & (A.data != 0.0)]] = True
+    del rows                      # one index per stored entry
+    pivots = d[~is_coupled]       # an isolated row is its own pivot
+    coupled = np.flatnonzero(is_coupled)
+    lu = None
+    if coupled.size:
+        block = A if coupled.size == n else A[coupled][:, coupled]
+        try:
+            lu = spla.splu(block.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                           diag_pivot_thresh=0.0,
+                           options={"SymmetricMode": True})
+        except RuntimeError as exc:   # singular factor
+            raise IndefiniteMatrixError(f"factorization failed: {exc}") from exc
+        pivots = np.concatenate([pivots, lu.U.diagonal()])
     if np.any(pivots <= 0.0) or not np.all(np.isfinite(pivots)):
         raise IndefiniteMatrixError(
             "matrix is not positive definite; "
             "check the stabilization and lumping settings")
-    return Factorization(n, "sparse_lu", lu=lu)
+    return Factorization(d, coupled, lu)
 
 
-def max_gen_eig(K, M, tol=1e-9, max_iter=50000, seed=0):
-    """Largest eigenvalue of ``K x = lam M x`` by power iteration.
+def max_gen_eig(K, M, tol=1e-9, seed=0):
+    """Largest eigenvalue of ``K x = lam M x`` by Lanczos.
 
-    Iterates ``x <- M^-1 K x`` from a seeded random start and estimates the
-    eigenvalue with the Rayleigh quotient ``(x' K x) / (x' M x)``, which
-    converges at twice the rate of the iterate itself.  Stops when the
-    relative change of the estimate drops below ``tol``.
+    ARPACK's implicitly restarted Lanczos (``eigsh`` iterating with
+    ``M^-1 K`` in the M inner product) from a seeded random start vector;
+    ``tol`` is the relative accuracy of the Ritz value.  A 1x1 pencil,
+    which ARPACK does not take, is its own Rayleigh quotient.
 
     Returns
     -------
     lam : float
-    n_iter : int
+    n_solves : int
+        Number of mass solves.
     """
     n = K.shape[0]
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(n)
-    x /= np.linalg.norm(x)
+    if n == 1:
+        x = np.ones(1)
+        return float(x @ (K @ x)) / float(x @ (M @ x)), 0
     fac = factorize(M)
-    lam_old = np.inf
-    for it in range(1, max_iter + 1):
-        y = fac.solve(K @ x)
-        ny = np.linalg.norm(y)
-        if ny == 0.0:
-            return 0.0, it
-        x = y / ny
-        Kx = K @ x
-        Mx = M @ x
-        lam = float(x @ Kx) / float(x @ Mx)
-        if abs(lam - lam_old) <= tol * abs(lam):
-            return lam, it
-        lam_old = lam
-    raise RuntimeError(
-        f"power iteration did not converge in {max_iter} iterations "
-        f"(last estimate {lam_old:.6e})")
+    n_solves = 0
+
+    def solve(b):
+        nonlocal n_solves
+        n_solves += 1
+        return fac.solve(b)
+
+    Minv = spla.LinearOperator((n, n), matvec=solve, dtype=float)
+    v0 = np.random.default_rng(seed).standard_normal(n)
+    lam = spla.eigsh(K, k=1, M=M, Minv=Minv, which="LA", v0=v0, tol=tol,
+                     return_eigenvectors=False)
+    return float(lam[0]), n_solves
 
 
 def dt_crit(K, M, tol=1e-9, seed=0):

@@ -13,6 +13,9 @@ Three schemes:
   method, the c-part with the trapezoidal rule using the already updated
   d values; stability is then governed by the explicit subsystem alone.
 
+How a matrix is structured and solved (diagonal rows by division, the
+coupled rest by one sparse factor) is left to :func:`linalg.factorize`.
+
 All runs share the force model F(t) = f_t(t) * F_s, record observer
 samples at every step when an observer matrix is given, and abort with
 ``DivergenceError`` when the solution leaves a generous amplitude bound.
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import dt_crit as _dt_crit
-from .linalg import factorize, is_structurally_diagonal
+from .linalg import factorize
 
 DIVERGENCE_LIMIT = 1.0e12
 
@@ -51,10 +54,6 @@ class StageTimings:
     rhs: float = 0.0
     backward_insertion: float = 0.0
 
-    @property
-    def total(self) -> float:
-        return self.factorization + self.rhs + self.backward_insertion
-
 
 @dataclass
 class RunResult:
@@ -65,7 +64,7 @@ class RunResult:
     psi: np.ndarray               # final displacement
     psi_dot: np.ndarray | None    # final velocity (None for pure CDM)
     timings: StageTimings
-    fact_dim: int = 0             # dimension of the factored iteration matrix
+    fact_dim: int = 0             # factored dimension (cdm: the LU block)
 
 
 def select_dt(dt_c: float, dt_max: float | None = None,
@@ -113,8 +112,8 @@ def newmark_run(M, K, F_s, f_t, dt: float, n_t: int, obs_mat=None,
 
     ``s_factory``, when given, is a zero-argument callable returning a
     factorization of S = M + beta dt^2 K (anything with ``solve``); it lets
-    separable grids use a fast-diagonalization inverse, and K then only
-    needs to support matrix-vector products.
+    separable grids solve S by mass-preconditioned conjugate gradients,
+    and K then only needs to support matrix-vector products.
     """
     n = M.shape[0]
     psi = np.zeros(n) if psi0 is None else np.array(psi0, dtype=float)
@@ -123,15 +122,9 @@ def newmark_run(M, K, F_s, f_t, dt: float, n_t: int, obs_mat=None,
     rec = _Recorder(obs_mat, n, n_t, dt)
 
     t0 = time.perf_counter()
-    if s_factory is not None:
-        S_fact = s_factory()
-        M_fact = factorize(M)
-    elif beta != 0.0:
-        S_fact = factorize((M + (beta * dt * dt) * K).tocsr())
-        M_fact = factorize(M)
-    else:
-        S_fact = factorize(M)
-        M_fact = S_fact
+    S_fact = (s_factory() if s_factory is not None
+              else factorize(M + (beta * dt * dt) * K))
+    M_fact = factorize(M)
     timings.factorization += time.perf_counter() - t0
 
     a = M_fact.solve(f_t(0.0) * F_s - K @ psi)
@@ -167,9 +160,10 @@ def cdm_run(M, K, F_s, f_t, dt: float, n_t: int, obs_mat=None,
 
     t0 = time.perf_counter()
     M_fact = factorize(M)
-    # A diagonal mass makes the solve trivial; there is no factorization
-    # stage to report then.
-    if M_fact.kind != "diagonal":
+    # Diagonal rows are solved by division; only an LU is a factorization
+    # stage worth reporting.
+    fact_dim = M_fact.coupled.size
+    if fact_dim:
         timings.factorization += time.perf_counter() - t0
 
     a = M_fact.solve(f_t(0.0) * F_s - K @ psi)
@@ -190,7 +184,7 @@ def cdm_run(M, K, F_s, f_t, dt: float, n_t: int, obs_mat=None,
         _check(psi, k + 1)
     return RunResult(method="cdm", dt=dt, t=rec.t, obs=rec.obs,
                      psi=psi, psi_dot=None, timings=timings,
-                     fact_dim=0 if M_fact.kind == "diagonal" else M_fact.n)
+                     fact_dim=fact_dim)
 
 
 def imex_run(M, K, F_s, f_t, dt: float, n_t: int, c_idx, d_idx,
@@ -201,8 +195,9 @@ def imex_run(M, K, F_s, f_t, dt: float, n_t: int, c_idx, d_idx,
     The d-part steps with the central difference method using the full
     state at t_k; the c-part then steps with the Newmark scheme against
     the already updated d values at t_{k+1}.  Requires the d mass rows to
-    be exactly diagonal (no coupling into c).  Degenerates to ``cdm_run``
-    when c is empty and to ``newmark_run`` when d is empty.
+    be exactly diagonal, i.e. solved by division in ``factorize(M)``.
+    Degenerates to ``cdm_run`` when c is empty and to ``newmark_run`` when
+    d is empty.
     """
     n = M.shape[0]
     c_idx = np.asarray(c_idx, dtype=np.int64)
@@ -220,36 +215,24 @@ def imex_run(M, K, F_s, f_t, dt: float, n_t: int, c_idx, d_idx,
     has_c = c_idx.shape[0] > 0
 
     t0 = time.perf_counter()
-    if has_d:
-        M_drows = M[d_idx]
-        if M_drows[:, c_idx].nnz != 0:
-            raise ValueError("d mass rows couple into the implicit set; "
-                             "the basis/lumping choice does not support the "
-                             "implicit-explicit split")
-        M_dd = M_drows[:, d_idx]
-        if not is_structurally_diagonal(M_dd):
-            raise ValueError("d mass block is not diagonal; the basis/lumping "
-                             "choice does not support the implicit-explicit "
-                             "split")
-        m_d = M_dd.diagonal()
-        if np.any(m_d <= 0.0):
-            raise ValueError("d mass block has non-positive diagonal entries")
-        K_d = K[d_idx]
     if has_c:
-        M_crows = M[c_idx]
-        M_cc = M_crows[:, c_idx]
         K_c = K[c_idx]
-        K_cc = K_c[:, c_idx]
-        S_fact = factorize((M_cc + (beta * dt * dt) * K_cc).tocsr())
-        M_cc_fact = factorize(M_cc)
+        S_fact = factorize(M[c_idx][:, c_idx]
+                           + (beta * dt * dt) * K_c[:, c_idx])
+    M_fact = factorize(M)
+    if np.isin(d_idx, M_fact.coupled).any():
+        raise ValueError("d mass rows couple to other DOFs, so the mass is "
+                         "not diagonal on the explicit set; the basis/lumping "
+                         "choice does not support the implicit-explicit split")
+    if has_d:
+        m_d = M_fact.diag[d_idx]
+        K_d = K[d_idx]
     timings.factorization += time.perf_counter() - t0
 
-    # Initial accelerations, blockwise (the mass has no d-c coupling).
-    r0 = f_t(0.0) * F_s - K @ psi
-    a_c = M_cc_fact.solve(r0[c_idx]) if has_c else None
+    a = M_fact.solve(f_t(0.0) * F_s - K @ psi)
+    a_c = a[c_idx]
     if has_d:
-        a_d = r0[d_idx] / m_d
-        psi_prev_d = psi[d_idx] - dt * v[d_idx] + (0.5 * dt * dt) * a_d
+        psi_prev_d = psi[d_idx] - dt * v[d_idx] + (0.5 * dt * dt) * a[d_idx]
     if has_c:
         psi_c = psi[c_idx].copy()
         v_c = v[c_idx].copy()

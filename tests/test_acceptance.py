@@ -157,10 +157,10 @@ def test_criterion_4_imex_stability_independence(grid13, sys13_a12):
     dm = grid13.dofmap
     dtd = imex_critical_time_step(sys13_a12.K, sys13_a12.M, dm.d_idx,
                                   tol=1e-7)
-    # any Rayleigh quotient of a power iterate bounds lam_max from below,
-    # so a loose-tolerance run already gives a rigorous upper bound on the
-    # global critical step; full convergence on this clustered pencil is
-    # not needed to prove the half-step precondition
+    # a Lanczos Ritz value is a Rayleigh quotient, so it bounds lam_max
+    # from below and a loose-tolerance run already gives a rigorous upper
+    # bound on the global critical step; full convergence on this
+    # clustered pencil is not needed to prove the half-step precondition
     lam_lb, _ = max_gen_eig(sys13_a12.K, sys13_a12.M, tol=1e-3, seed=0)
     dt_global_ub = 2.0 / np.sqrt(lam_lb)
     assert dt_global_ub <= 0.5 * dtd, \
@@ -340,7 +340,7 @@ def test_criterion_8_oracle_equivalences(benchmark_geometry, source):
     assert np.array_equal(row_sum_lump(Ms), Ms @ np.ones(40))
     timings["lumping"] = time.perf_counter() - t0
 
-    # power iteration against the dense solver on a small real system
+    # Lanczos against the dense solver on a small real system
     grid = Grid.build(benchmark_geometry,
                       BasisSpec(family="lagrange", p=1, n_e=4),
                       boundary_fitted=True)
@@ -351,13 +351,13 @@ def test_criterion_8_oracle_equivalences(benchmark_geometry, source):
     lam_dense = scipy.linalg.eigh(system.K.toarray(), system.M.toarray(),
                                   eigvals_only=True)[-1]
     assert abs(lam_pi - lam_dense) <= 1e-8 * lam_dense
-    timings["power vs dense"] = time.perf_counter() - t0
+    timings["lanczos vs dense"] = time.perf_counter() - t0
 
     for label, elapsed in timings.items():
         assert elapsed < 1.0, f"{label}: {elapsed:.2f}s"
     print(f"\nCRITERION 8 PASS: newmark(0,1/2)=cdm to 1e-10, imex "
           f"degenerate splits to 1e-12, evs hand case bitwise, lumping "
-          f"identities, power iteration vs dense to 1e-8; all under 1s")
+          f"identities, Lanczos vs dense to 1e-8; all under 1s")
 
 
 def test_criterion_9_timing_harness_integrity(tmp_path):

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -103,6 +104,14 @@ def test_config_round_trip():
                           angles_deg=(10.0, 20.0, 30.0), seed=3)
     assert BenchmarkConfig.from_dict(cfg.to_dict()) == cfg
     assert BenchmarkConfig.from_json(cfg.to_json()) == cfg
+
+
+def test_default_config_matches_readme():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("unknown keys or sections are rejected:")[1]
+    block = block.split("```json\n")[1].split("```")[0]
+    # same values in the same key order as the documented default
+    assert json.dumps(json.loads(block), indent=2) == BenchmarkConfig().to_json()
 
 
 def test_config_rejects_unknown_keys():
@@ -233,9 +242,10 @@ def test_prepare_time_step_resolution():
     assert prep.n_t == 450
     assert prep.dt == pytest.approx(1.0 / 450.0)
 
+    # an explicit dt is rounded down so that the run ends exactly at T
     prep = prepare(BenchmarkConfig(method="cdm", dt=0.03, **bf))
-    assert prep.dt == 0.03
     assert prep.n_t == 34
+    assert prep.dt == 1.0 / 34
 
     prep = prepare(BenchmarkConfig(method="cdm", n_t=100, **bf))
     assert prep.n_t == 100

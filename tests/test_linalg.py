@@ -2,16 +2,15 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from wavecell.assembly import Grid, assemble
 from wavecell.basis import BasisSpec
 from wavecell.geometry import ImmersedGeometry
 from wavecell.linalg import (
-    Factorization,
     IndefiniteMatrixError,
     dt_crit,
     factorize,
-    is_structurally_diagonal,
     load_matrix_market,
     max_gen_eig,
     save_matrix_market,
@@ -27,7 +26,7 @@ def tiny_immersed_system():
 
 def test_factorize_diagonal_path():
     fac = factorize(sp.diags([4.0, 9.0]).tocsr())
-    assert fac.kind == "diagonal"
+    assert fac.coupled.size == 0
     assert fac.n == 2
     assert np.allclose(fac.solve(np.array([8.0, 18.0])), [2.0, 2.0])
 
@@ -35,7 +34,7 @@ def test_factorize_diagonal_path():
 def test_factorize_tridiagonal():
     A = sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
     fac = factorize(A)
-    assert fac.kind == "sparse_lu"
+    assert np.array_equal(fac.coupled, [0, 1])
     assert np.allclose(fac.solve(np.array([3.0, 3.0])), [1.0, 1.0],
                        atol=1e-14)
 
@@ -56,6 +55,8 @@ def test_factorize_rejects_indefinite():
     with pytest.raises(IndefiniteMatrixError):
         factorize(sp.diags([1.0, -1.0]).tocsr())
     with pytest.raises(IndefiniteMatrixError):
+        factorize(sp.diags([1.0, 0.0]).tocsr())
+    with pytest.raises(IndefiniteMatrixError):
         factorize(sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]])))
     with pytest.raises(IndefiniteMatrixError):
         factorize(sp.csr_matrix(np.ones((2, 2))))
@@ -66,14 +67,55 @@ def test_factorize_rejects_non_square():
         factorize(sp.csr_matrix(np.ones((2, 3))))
 
 
-def test_structurally_diagonal_detection():
-    assert is_structurally_diagonal(sp.diags([1.0, 2.0]).tocsr())
+def test_stored_zero_does_not_couple():
     stored_zero = sp.csr_matrix(
         (np.array([1.0, 0.0, 2.0]), (np.array([0, 0, 1]), np.array([0, 1, 1]))),
         shape=(2, 2))
-    assert is_structurally_diagonal(stored_zero)
-    assert not is_structurally_diagonal(
-        sp.csr_matrix(np.array([[1.0, 0.5], [0.5, 1.0]])))
+    assert factorize(stored_zero).coupled.size == 0
+    assert np.array_equal(
+        factorize(sp.csr_matrix(np.array([[1.0, 0.5], [0.5, 1.0]]))).coupled,
+        [0, 1])
+
+
+def test_factorize_mixed_isolated_and_coupled_rows():
+    # rows 0, 2 and 5 are isolated; 1, 3 and 4 form one coupled block
+    A = np.diag([2.0, 4.0, 3.0, 5.0, 6.0, 0.5])
+    A[1, 3] = A[3, 1] = 1.0
+    A[3, 4] = A[4, 3] = -2.0
+    A = sp.csr_matrix(A)
+    before = A.copy()
+    fac = factorize(A)
+    assert np.array_equal(fac.coupled, [1, 3, 4])
+    assert (A != before).nnz == 0
+    rng = np.random.default_rng(1)
+    b = rng.standard_normal(6)
+    assert np.allclose(fac.solve(b), spla.spsolve(A.tocsc(), b),
+                       rtol=1e-13, atol=1e-15)
+    B = rng.standard_normal((6, 2))
+    assert np.allclose(fac.solve(B), spla.spsolve(A.tocsc(), B),
+                       rtol=1e-13, atol=1e-15)
+
+
+def test_factorize_rejects_non_positive_isolated_row():
+    A = np.diag([2.0, 4.0, -3.0])
+    A[0, 1] = A[1, 0] = 1.0
+    with pytest.raises(IndefiniteMatrixError):
+        factorize(sp.csr_matrix(A))
+
+
+def test_factorize_immersed_mass_factors_exactly_the_c_set():
+    system = tiny_immersed_system()
+    fac = factorize(system.M)
+    assert np.array_equal(fac.coupled, system.grid.dofmap.c_idx)
+
+
+def test_factorize_bspline_mass_factors_every_row():
+    geom = ImmersedGeometry.from_angles(0.3, 0.5, (10.0, 10.0, 10.0))
+    grid = Grid.build(geom, BasisSpec(family="bspline", p=2, n_e=3),
+                      boundary_fitted=True)
+    system = assemble(grid, StabilizationParams())
+    fac = factorize(system.M)
+    assert np.array_equal(fac.coupled, np.arange(system.n_dof))
 
 
 def test_max_gen_eig_diagonal_pair():
@@ -86,6 +128,10 @@ def test_max_gen_eig_diagonal_pair():
 
 def test_max_gen_eig_known_single_element():
     h, c = 0.2, 2.0
+    # a 1x1 pencil (one explicit DOF) is its own eigenvalue
+    lam_1, _ = max_gen_eig(sp.csr_matrix([[c * c / h]]),
+                           sp.csr_matrix([[h / 2.0]]))
+    assert lam_1 == pytest.approx(2.0 * c * c / h**2, rel=1e-15)
     K = sp.csr_matrix(c * c / h * np.array([[1.0, -1.0], [-1.0, 1.0]]))
     M_lumped = sp.diags([h / 2.0, h / 2.0]).tocsr()
     lam, _ = max_gen_eig(K, M_lumped, tol=1e-12)
@@ -143,7 +189,13 @@ def test_matrix_market_round_trip(tmp_path):
 
 
 def test_factorization_solve_shapes():
-    fac = Factorization(2, "diagonal", diag=np.array([2.0, 4.0]))
-    assert np.allclose(fac.solve(np.array([2.0, 4.0])), [1.0, 1.0])
-    B = np.array([[2.0, 4.0], [4.0, 8.0]])
-    assert np.allclose(fac.solve(B), [[1.0, 2.0], [1.0, 2.0]])
+    for A in (sp.diags([2.0, 4.0]).tocsr(),
+              sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 4.0]]))):
+        fac = factorize(A)
+        dense = A.toarray()
+        b = np.array([2.0, 4.0])
+        assert fac.solve(b).shape == (2,)
+        assert np.allclose(dense @ fac.solve(b), b)
+        B = np.array([[2.0, 4.0], [4.0, 8.0]])
+        assert fac.solve(B).shape == (2, 2)
+        assert np.allclose(dense @ fac.solve(B), B)
