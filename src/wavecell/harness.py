@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import warnings
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
@@ -445,11 +446,16 @@ def timing_study(configs, repetitions: int = 10):
     only factorization and time stepping.  Returns a list of dicts, one
     per configuration, with the per-repetition reports, the digest of the
     numerical output, and whether all repetitions were bit-identical.
+    Without ``threadpoolctl`` it warns that BLAS threads are not pinned
+    and runs anyway.
     """
     try:
         from threadpoolctl import threadpool_limits
         limiter = threadpool_limits(limits=1)
     except ImportError:
+        warnings.warn("threadpoolctl is not installed: BLAS threads are not "
+                      "pinned, timings may use more than one thread",
+                      RuntimeWarning, stacklevel=2)
         limiter = nullcontext()
     out = []
     with limiter:

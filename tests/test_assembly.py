@@ -276,11 +276,22 @@ def test_boundary_fitted_dof_count():
     assert bf_grid("lagrange", 3, 10).n_dof == 31**3
 
 
-@pytest.mark.parametrize("family", ["lagrange"])
-def test_tensor_operators_match_assembly(family):
-    grid = bf_grid(family, 2, 3)
-    tensor = TensorSystem(grid, rho=1.3, c=0.7)
-    system = assemble(grid, StabilizationParams(), rho=1.3, c=0.7)
+def nine_contraction_k(tensor, x):
+    """Reference stiffness: each Kronecker term as three 1D contractions."""
+    n1 = tensor.m1.shape[0]
+    P = x.reshape(n1, n1, n1)
+    m, k = tensor.m1, tensor.k1
+    t = (np.einsum("ia,jb,kc,abc->ijk", k, m, m, P)
+         + np.einsum("ia,jb,kc,abc->ijk", m, k, m, P)
+         + np.einsum("ia,jb,kc,abc->ijk", m, m, k, P))
+    return tensor.rho * tensor.c ** 2 * t.ravel()
+
+
+@pytest.mark.parametrize("p, rho, c", [(2, 1.3, 0.7), (3, 0.6, 2.5)])
+def test_tensor_operators_match_assembly(p, rho, c):
+    grid = bf_grid("lagrange", p, 3)
+    tensor = TensorSystem(grid, rho=rho, c=c)
+    system = assemble(grid, StabilizationParams(), rho=rho, c=c)
     dM = np.abs((tensor.mass_matrix() - system.M).toarray()).max()
     assert dM <= 1e-14 * np.abs(system.M.data).max()
     rng = np.random.default_rng(3)
@@ -289,9 +300,41 @@ def test_tensor_operators_match_assembly(family):
     assert np.abs(tensor.k_matvec(x) - want).max() <= 1e-12 * np.abs(want).max()
 
 
-@pytest.mark.parametrize("family", ["lagrange"])
-def test_tensor_newmark_factorization_residual(family):
-    grid = bf_grid(family, 3, 3)
+@pytest.mark.parametrize("p, n_e", [(2, 3), (3, 3), (6, 2)])
+def test_tensor_k_matvec_matches_nine_contractions(p, n_e):
+    tensor = TensorSystem(bf_grid("lagrange", p, n_e), rho=1.3, c=0.7)
+    x = np.random.default_rng(p).standard_normal(tensor.n_dof)
+    want = nine_contraction_k(tensor, x)
+    got = tensor.k_matvec(x)
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_tensor_k_matvec_invariants():
+    tensor = TensorSystem(bf_grid("lagrange", 3, 3), rho=1.3, c=0.7)
+    n = tensor.n_dof
+    rng = np.random.default_rng(11)
+    x, y = rng.standard_normal((2, n))
+    # K 1 = 0, relative to the infinity norm of K
+    norm = (tensor.rho * tensor.c ** 2 * np.linalg.norm(tensor.k1, np.inf)
+            * np.linalg.norm(tensor.m1, np.inf) ** 2)
+    assert np.abs(tensor.k_matvec(np.ones(n))).max() <= 1e-14 * norm
+    # symmetry
+    kx = tensor.k_matvec(x)
+    ky = tensor.k_matvec(y)
+    assert abs(y @ kx - x @ ky) <= 1e-13 * np.linalg.norm(kx) * np.linalg.norm(y)
+    # repeatable, the input untouched, and no aliasing of the workspace
+    x_copy = x.copy()
+    first = tensor.k_matvec(x)
+    assert np.array_equal(x, x_copy)
+    first_copy = first.copy()
+    first[:] = np.nan
+    second = tensor.k_matvec(x)
+    assert np.array_equal(second, first_copy)
+    assert not np.shares_memory(second, first)
+
+
+def test_tensor_newmark_factorization_residual():
+    grid = bf_grid("lagrange", 3, 3)
     tensor = TensorSystem(grid)
     beta, dt = 0.25, 2e-3
     fact = tensor.newmark_factorization(beta, dt)

@@ -1,4 +1,5 @@
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -318,6 +319,17 @@ def test_timing_study_reproducible_and_untimed():
     # timing instrumentation must not change the numbers
     _, result = run_benchmark(cfg)
     assert _result_digest(result) == entry["digest"]
+
+
+def test_timing_study_warns_without_threadpoolctl(monkeypatch):
+    monkeypatch.setitem(sys.modules, "threadpoolctl", None)
+    cfg = BenchmarkConfig(family="lagrange", p=1, n_e=2, alpha=1e-2,
+                          octree_depth=1, method="cdm", n_t=5,
+                          lumping="row_sum")
+    with pytest.warns(RuntimeWarning, match="not pinned") as record:
+        out = timing_study([cfg], repetitions=1)
+    assert sum("not pinned" in str(w.message) for w in record) == 1
+    assert out[0]["identical"] is True
 
 
 def test_signals_csv_round_trip(tmp_path):
