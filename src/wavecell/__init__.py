@@ -3,16 +3,16 @@ equation, with explicit, implicit, and implicit-explicit time stepping and
 a reproducible accuracy/timing benchmark."""
 
 from .assembly import (DiscreteSystem, ElementIntegralCache, Grid,
-                       SourceSpec, TensorSystem, assemble, benchmark_source,
-                       ricker, spatial_load)
+                       SourceSpec, TensorSystem, assemble, ricker,
+                       spatial_load)
 from .basis import BasisSpec, gl_rule, gll_rule
 from .geometry import Box, ElementClass, ImmersedGeometry
 from .harness import (BenchmarkConfig, BenchmarkReport, build_observers,
                       convergence_study, dof_count, observer_matrix,
                       reference_run, relative_error, run_benchmark,
                       sample_observers, timing_study)
-from .linalg import (IndefiniteMatrixError, dt_crit, factorize,
-                     load_matrix_market, max_gen_eig, save_matrix_market)
+from .linalg import (IndefiniteMatrixError, dt_crit, factorize, max_gen_eig,
+                     save_matrix_market)
 from .stabilization import (StabilizationParams, evs_stabilize, hrz_lump,
                             row_sum_lump)
 from .timeint import (DivergenceError, RunResult, StageTimings, cdm_run,
@@ -27,10 +27,10 @@ __all__ = [
     "ElementIntegralCache", "Grid", "ImmersedGeometry",
     "IndefiniteMatrixError", "RunResult", "SourceSpec",
     "StabilizationParams", "StageTimings", "TensorSystem", "assemble",
-    "benchmark_source", "build_observers", "cdm_run", "convergence_study",
+    "build_observers", "cdm_run", "convergence_study",
     "dof_count", "dt_crit", "evs_stabilize", "factorize", "gl_rule",
     "gll_rule", "hrz_lump", "imex_critical_time_step", "imex_run",
-    "load_matrix_market", "max_gen_eig", "newmark_run", "observer_matrix",
+    "max_gen_eig", "newmark_run", "observer_matrix",
     "reference_run", "relative_error", "ricker", "row_sum_lump",
     "run_benchmark", "sample_observers", "save_matrix_market", "select_dt",
     "spatial_load", "timing_study",

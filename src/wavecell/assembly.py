@@ -29,14 +29,14 @@ rows are exactly diagonal for the Lagrange family.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 
 from . import geometry
-from .basis import BasisSpec, gl_rule, gll_rule, lagrange_eval, open_uniform_knots
+from .basis import BasisSpec, gl_rule, gll_rule
 from .geometry import Box, ElementClass, ImmersedGeometry, octree_partition
 from .stabilization import StabilizationParams, evs_stabilize, hrz_lump, row_sum_lump
 
@@ -66,16 +66,10 @@ class SourceSpec:
         return np.exp(-0.5 * d2 / self.sigma**2)
 
 
-def benchmark_source(l_p: float) -> SourceSpec:
-    """The benchmark source: Gaussian of width 0.01 centered on a face."""
-    return SourceSpec(x_local=(-l_p / 2.0, 0.0, 0.0), sigma=0.01)
-
-
 @dataclass
 class DofMap:
     """Lexicographic tensor numbering compacted to kept functions."""
 
-    n1: int
     compact_of_lex: np.ndarray   # (n1^3,), -1 where discarded
     lex_of_compact: np.ndarray   # (n_dof,)
     c_idx: np.ndarray            # compact DOFs supported on a cut element
@@ -85,12 +79,6 @@ class DofMap:
     def n_dof(self) -> int:
         return self.lex_of_compact.shape[0]
 
-    def element_dofs(self, fx, fy, fz) -> np.ndarray:
-        """Compact DOF ids of a function range triple, z fastest."""
-        lex = (fx[:, None, None] * self.n1 + fy[None, :, None]) * self.n1 \
-            + fz[None, None, :]
-        return self.compact_of_lex[lex.ravel()]
-
 
 @dataclass
 class Grid:
@@ -98,7 +86,7 @@ class Grid:
 
     In immersed mode the grid covers the extended domain and elements are
     classified against the rotated cube (with tiny slivers below
-    ``min_volume_fraction`` discarded).  In boundary-fitted mode the grid
+    ``geometry.MIN_VOLUME_FRACTION`` discarded).  In boundary-fitted mode the grid
     covers the physical cube itself in local coordinates and every element
     is inside.
     """
@@ -113,8 +101,7 @@ class Grid:
 
     @classmethod
     def build(cls, geom: ImmersedGeometry, spec: BasisSpec,
-              boundary_fitted: bool = False,
-              min_volume_fraction: float = geometry.MIN_VOLUME_FRACTION) -> "Grid":
+              boundary_fitted: bool = False) -> "Grid":
         n_e = spec.n_e
         if boundary_fitted:
             origin = np.full(3, -geom.l_p / 2.0)
@@ -127,7 +114,7 @@ class Grid:
             I, J, K = np.meshgrid(idx, idx, idx, indexing="ij")
             lo = np.stack([I, J, K], axis=-1).reshape(-1, 3) * h + origin
             classes = geom.classify_boxes(lo, lo + h).reshape((n_e,) * 3)
-            _discard_slivers(geom, classes, origin, h, min_volume_fraction)
+            _discard_slivers(geom, classes, origin, h)
         kept = np.argwhere(classes != ElementClass.OUTSIDE)
         return cls(geom=geom, spec=spec, boundary_fitted=boundary_fitted,
                    origin=origin, h=float(h), classes=classes, kept=kept)
@@ -152,34 +139,39 @@ class Grid:
     def n_kept(self) -> int:
         return self.kept.shape[0]
 
-    @cached_property
-    def knots(self) -> np.ndarray | None:
-        """Knot vector shared by all directions (B-spline family only)."""
-        if self.spec.family != "bspline":
-            return None
-        return open_uniform_knots(self.spec.n_e, self.spec.p, 0.0, 1.0)
+    @property
+    def kept_cut(self) -> np.ndarray:
+        """Whether each kept element is cut, shape (n_kept,)."""
+        return self.classes[tuple(self.kept.T)] == ElementClass.CUT
+
+    def _element_lex(self, ijk) -> np.ndarray:
+        """Lexicographic function ids of elements ``ijk`` (..., 3), shape
+        (..., (p+1)^3) with z fastest."""
+        f = self.spec.element_funcs_1d(np.asarray(ijk))   # (..., 3, p+1)
+        n1 = self.spec.n_funcs_1d
+        lex = ((f[..., 0, :, None, None] * n1 + f[..., 1, None, :, None]) * n1
+               + f[..., 2, None, None, :])
+        return lex.reshape(lex.shape[:-3] + (-1,))
+
+    def element_dofs(self, ijk) -> np.ndarray:
+        """Compact DOF ids of elements ``ijk`` (..., 3), shape
+        (..., (p+1)^3) with z fastest."""
+        return self.dofmap.compact_of_lex[self._element_lex(ijk)]
 
     @cached_property
     def dofmap(self) -> DofMap:
-        spec = self.spec
-        n1 = spec.n_funcs_1d
-        kept_mask = np.zeros((n1,) * 3, dtype=bool)
-        c_mask = np.zeros((n1,) * 3, dtype=bool)
-        m = spec.p + 1
-        for i, j, k in self.kept:
-            fx = spec.element_funcs_1d(i)[0]
-            fy = spec.element_funcs_1d(j)[0]
-            fz = spec.element_funcs_1d(k)[0]
-            kept_mask[fx:fx + m, fy:fy + m, fz:fz + m] = True
-            if self.classes[i, j, k] == ElementClass.CUT:
-                c_mask[fx:fx + m, fy:fy + m, fz:fz + m] = True
-        lex_of_compact = np.flatnonzero(kept_mask.ravel())
+        n1 = self.spec.n_funcs_1d
+        lex = self._element_lex(self.kept)
+        kept_mask = np.zeros(n1**3, dtype=bool)
+        kept_mask[lex] = True
+        c_mask = np.zeros(n1**3, dtype=bool)
+        c_mask[lex[self.kept_cut]] = True
+        lex_of_compact = np.flatnonzero(kept_mask)
         compact_of_lex = np.full(n1**3, -1, dtype=np.int64)
         compact_of_lex[lex_of_compact] = np.arange(lex_of_compact.shape[0])
-        c_idx = np.sort(compact_of_lex[np.flatnonzero(c_mask.ravel())])
-        all_idx = np.arange(lex_of_compact.shape[0])
-        d_idx = np.setdiff1d(all_idx, c_idx, assume_unique=True)
-        return DofMap(n1=n1, compact_of_lex=compact_of_lex,
+        is_c = c_mask[lex_of_compact]
+        c_idx, d_idx = np.flatnonzero(is_c), np.flatnonzero(~is_c)
+        return DofMap(compact_of_lex=compact_of_lex,
                       lex_of_compact=lex_of_compact, c_idx=c_idx, d_idx=d_idx)
 
     @property
@@ -187,7 +179,7 @@ class Grid:
         return self.dofmap.n_dof
 
 
-def _discard_slivers(geom, classes, origin, h, min_volume_fraction):
+def _discard_slivers(geom, classes, origin, h):
     """Demote cut elements with negligible physical volume to outside.
 
     A cheap interior-sample bound skips the exact volume computation for
@@ -195,8 +187,6 @@ def _discard_slivers(geom, classes, origin, h, min_volume_fraction):
     the element faces and with margin ``m`` inside the cube certifies a
     volume fraction of at least (4 pi / 3) (m/h)^3 / 8.
     """
-    if min_volume_fraction <= 0.0:
-        return
     cut = np.argwhere(classes == ElementClass.CUT)
     if cut.shape[0] == 0:
         return
@@ -210,30 +200,18 @@ def _discard_slivers(geom, classes, origin, h, min_volume_fraction):
     suspicious = np.flatnonzero(np.max(margin, axis=1) < margin_needed)
     for s in suspicious:
         box = Box(lo[s], lo[s] + h)
-        if geom.volume_fraction(box) < min_volume_fraction:
+        if geom.volume_fraction(box) < geometry.MIN_VOLUME_FRACTION:
             classes[tuple(cut[s])] = ElementClass.OUTSIDE
 
 
-@dataclass
-class ElementIntegrals:
-    """Physical-part (inside) integrals of a cut element.
-
-    Both matrices are (p+1)^3 square on the reference element; the physical
-    scaling (rho, c, element size) is applied when combining.  ``K_in``
-    already sums the three gradient directions with reference derivatives.
-    The fictitious part is the uncut element integral
-    (:meth:`ElementIntegralCache.full_element`) minus the inside part.
-    """
-
-    M_in: np.ndarray
-    K_in: np.ndarray
-
-
-def _signature(spec: BasisSpec, e: int):
-    """Key identifying the 1D basis pattern of element ``e``."""
+def _signature(spec: BasisSpec, e) -> np.ndarray:
+    """Integer key(s) of the 1D basis pattern of element(s) ``e``: elements
+    with equal keys have equal 1D matrices."""
+    e = np.asarray(e)
     if spec.family == "lagrange":
-        return 0
-    return (min(e, spec.p), min(spec.n_e - 1 - e, spec.p))
+        return np.zeros_like(e)
+    return (np.minimum(e, spec.p) * (spec.p + 1)
+            + np.minimum(spec.n_e - 1 - e, spec.p))
 
 
 @dataclass
@@ -279,10 +257,10 @@ class _LeafRules:
     def tables(self, e: int):
         """Per-interval basis values, derivatives and 1D partial mass and
         stiffness ``(V, D, m1, k1)`` on element ``e``."""
-        key = _signature(self.grid.spec, e)
+        key = int(_signature(self.grid.spec, e))
         if key not in self._tables:
             n = self.grid.spec.p + 1
-            V, D = basis_eval_1d(self.grid, e, self.xi.ravel())
+            V, D = self.grid.spec.eval_element(e, self.xi.ravel())
             V = V.reshape(-1, self.q, n)
             D = D.reshape(-1, self.q, n)
             m1 = np.einsum("lqa,lq,lqb->lab", V, self.w, V)
@@ -315,36 +293,39 @@ class _LeafRules:
 class ElementIntegralCache:
     """Alpha-independent element integrals for one grid.
 
-    Cut elements store only their inside part (:class:`ElementIntegrals`);
-    the fictitious part is the uncut element integral minus the inside
-    part, exact because q = p+1 Gauss-Legendre points per octree leaf
-    integrate the degree-2p integrand exactly.  Uncut integrals are shared
-    per boundary signature (a single entry for the Lagrange family).
-    Building the cache is the expensive geometric step; assembling a system
-    for given stabilization parameters afterwards is cheap, which is what
-    makes parameter sweeps affordable.
+    Cut elements store only their inside part, stacked in ``M_in`` and
+    ``K_in`` of shape (n_cut, (p+1)^3, (p+1)^3) in ``grid.kept`` order, on
+    the reference element (``K_in`` sums the three gradient directions with
+    reference derivatives; rho, c and the element size are applied when
+    combining).  The fictitious part is the uncut element integral
+    (:meth:`full_element`) minus the inside part, exact because q = p+1
+    Gauss-Legendre points per octree leaf integrate the degree-2p integrand
+    exactly.  Building the cache is the expensive geometric step;
+    assembling a system for given stabilization parameters afterwards is
+    cheap, which is what makes parameter sweeps affordable.
     """
 
-    def __init__(self, grid: Grid, octree_depth: int = DEFAULT_OCTREE_DEPTH,
-                 q: int | None = None):
+    def __init__(self, grid: Grid, octree_depth: int = DEFAULT_OCTREE_DEPTH):
         self.grid = grid
         self.octree_depth = int(octree_depth)
-        self.q = int(q) if q is not None else grid.spec.p + 1
+        self.q = grid.spec.p + 1
         if self.octree_depth < 0:
             raise ValueError("octree depth must be >= 0")
         self._rules = _LeafRules(grid, self.octree_depth, self.q)
         self._uncut: dict = {}
-        self._cut: dict = {}
-        self._build()
-
-    # -- uncut elements -------------------------------------------------
+        cut = grid.kept[grid.kept_cut]
+        n3 = (grid.spec.p + 1) ** 3
+        self.M_in = np.zeros((cut.shape[0], n3, n3))
+        self.K_in = np.zeros((cut.shape[0], n3, n3))
+        for ijk, M_in, K_in in zip(cut, self.M_in, self.K_in):
+            self._integrate_cut(ijk, M_in, K_in)
 
     def _uncut_1d(self, e: int):
         """Exact 1D mass/stiffness on the reference element (GL rule)."""
-        key = ("1d", _signature(self.grid.spec, e))
+        key = ("1d", int(_signature(self.grid.spec, e)))
         if key not in self._uncut:
             g = gl_rule(self.q)
-            V, D = basis_eval_1d(self.grid, e, g.nodes)
+            V, D = self.grid.spec.eval_element(e, g.nodes)
             m1 = (V * g.weights[:, None]).T @ V
             k1 = (D * g.weights[:, None]).T @ D
             self._uncut[key] = (m1, k1)
@@ -353,7 +334,7 @@ class ElementIntegralCache:
     def full_element(self, ijk):
         """Exact reference ``(M, K)`` of the whole element (indicator one),
         the Kronecker products of the 1D Gauss-Legendre matrices."""
-        key = ("full", tuple(_signature(self.grid.spec, int(e)) for e in ijk))
+        key = ("full",) + tuple(_signature(self.grid.spec, ijk).tolist())
         if key not in self._uncut:
             (m1x, k1x), (m1y, k1y), (m1z, k1z) = (self._uncut_1d(int(e))
                                                   for e in ijk)
@@ -362,46 +343,13 @@ class ElementIntegralCache:
             self._uncut[key] = (_kron3(m1x, m1y, m1z), K)
         return self._uncut[key]
 
-    def uncut_element(self, ijk):
-        """Shared reference matrices of an uncut element.
-
-        Returns ``(M_repr, K)`` where ``M_repr`` is ``("diag", vector)`` for
-        the Lagrange family (nodal GLL quadrature) and ``("dense", matrix)``
-        for B-splines.
-        """
-        spec = self.grid.spec
-        key = ("elem", tuple(_signature(spec, int(e)) for e in ijk))
-        if key not in self._uncut:
-            M, K = self.full_element(ijk)
-            if spec.family == "lagrange":
-                w = gll_rule(spec.p).weights
-                M_repr = ("diag", np.einsum("i,j,k->ijk", w, w, w).ravel())
-            else:
-                M_repr = ("dense", M)
-            self._uncut[key] = (M_repr, K)
-        return self._uncut[key]
-
-    # -- cut elements ---------------------------------------------------
-
-    def cut_element(self, ijk) -> ElementIntegrals:
-        return self._cut[tuple(int(v) for v in ijk)]
-
-    def _build(self):
+    def _integrate_cut(self, ijk, M_in, K_in):
+        """Add the inside part of cut element ``ijk`` to ``M_in``, ``K_in``."""
         grid = self.grid
-        for ijk in grid.kept:
-            if grid.classes[tuple(ijk)] == ElementClass.CUT:
-                self._cut[tuple(int(v) for v in ijk)] = self._integrate_cut(ijk)
-            else:
-                self.uncut_element(ijk)
-
-    def _integrate_cut(self, ijk) -> ElementIntegrals:
-        grid = self.grid
-        n3 = (grid.spec.p + 1) ** 3
+        n3 = M_in.shape[0]
         box = grid.element_box(ijk)
         leaves = octree_partition(grid.geom, box, self.octree_depth)
         ids = self._rules.leaf_ids(box, leaves)
-        M_in = np.zeros((n3, n3))
-        K_in = np.zeros((n3, n3))
 
         # Inside leaves keep the tensor-product structure.
         sel = np.flatnonzero(leaves.cls == ElementClass.INSIDE)
@@ -434,7 +382,6 @@ class ElementIntegralCache:
                     G = _outer3(*((ders if k == d else vals)[k][part]
                                   for k in range(3)))
                     K_in += (G * wp).T @ G
-        return ElementIntegrals(M_in=M_in, K_in=K_in)
 
 
 def _outer3(A, B, C):
@@ -454,14 +401,6 @@ def _kron3_sum(Ax, Ay, Az):
     n = Ax.shape[-1]
     out = np.einsum("lad,lbe,lcf->abcdef", Ax, Ay, Az)
     return out.reshape(n**3, n**3)
-
-
-def basis_eval_1d(grid: Grid, e: int, x):
-    """1D basis values/derivatives on element ``e`` at reference coords."""
-    spec = grid.spec
-    if spec.family == "lagrange":
-        return lagrange_eval(gll_rule(spec.p).nodes, x)
-    return spec.eval_element(e, x, knots=grid.knots)
 
 
 def _dyadic_intervals(max_depth: int):
@@ -498,89 +437,65 @@ class DiscreteSystem:
 
 def assemble(grid: Grid, params: StabilizationParams, rho: float = 1.0,
              c: float = 1.0, source: SourceSpec | None = None,
-             octree_depth: int = DEFAULT_OCTREE_DEPTH, q: int | None = None,
+             octree_depth: int = DEFAULT_OCTREE_DEPTH,
              cache: ElementIntegralCache | None = None) -> DiscreteSystem:
     """Assemble global mass/stiffness matrices and the spatial load.
 
-    A cut element contributes ``M_in + alpha (M_full - M_in)`` (and K the
-    same way) from its cached inside part and the exact uncut element
-    matrices; eigenvalue stabilization sees ``M_full`` as the uncut
-    reference.  Passing a prebuilt ``cache`` reuses the alpha-independent
-    element integrals, which makes stabilization parameter sweeps cheap.
+    Element matrices are stacked with the uncut elements first, so the cut
+    rows of every stack line up with the cache.  A cut element contributes
+    ``M_in + alpha (M_full - M_in)`` (and K the same way) from its cached
+    inside part and the exact uncut element matrices; eigenvalue
+    stabilization sees ``M_full`` as the uncut reference.  Uncut Lagrange
+    elements carry the nodal GLL diagonal; every other mass block is dense
+    until the one lumping choice.  Passing a prebuilt ``cache`` reuses the
+    alpha-independent element integrals, which makes stabilization
+    parameter sweeps cheap.
     """
     if cache is None:
-        cache = ElementIntegralCache(grid, octree_depth=octree_depth, q=q)
-    dofmap = grid.dofmap
+        cache = ElementIntegralCache(grid, octree_depth=octree_depth)
     spec = grid.spec
-    n = spec.p + 1
-    n3 = n**3
-    h = grid.h
-    sm = rho * (h / 2.0) ** 3
-    sk = rho * c * c * (h / 2.0)
-    lump = params.lumping
+    sm = rho * (grid.h / 2.0) ** 3
+    sk = rho * c * c * (grid.h / 2.0)
+    alpha = params.alpha
+    ijk = grid.kept[np.argsort(grid.kept_cut, kind="stable")]
+    n_uncut = grid.n_kept - cache.M_in.shape[0]
+    dofs = grid.element_dofs(ijk)
+    # The exact full-element matrices, one pair per boundary signature.
+    _, first, sig = np.unique(_signature(spec, ijk), axis=0,
+                              return_index=True, return_inverse=True)
+    full = [cache.full_element(ijk[i]) for i in first]
+    M_full = np.stack([M for M, _ in full])
+    K_full = np.stack([K for _, K in full])
+    sig = sig.reshape(-1)
+    cut_full = sig[n_uncut:]
 
-    rr_local, cc_local = np.divmod(np.arange(n3 * n3, dtype=np.int64), n3)
+    K_el = K_full[sig] * sk
+    K_el[n_uncut:] = sk * (cache.K_in
+                           + alpha * (K_full[cut_full] - cache.K_in))
+    M_o = sm * (cache.M_in + alpha * (M_full[cut_full] - cache.M_in))
+    if params.epsilon > 0.0:
+        M_o = evs_stabilize(M_o, sm * M_full[cut_full], params.epsilon,
+                            params.f_lambda)
+    if spec.family == "lagrange":
+        w = gll_rule(spec.p).weights
+        m_diag = sm * np.einsum("i,j,k->ijk", w, w, w).ravel()
+        m_blocks = [(dofs[:n_uncut], np.tile(m_diag, (n_uncut, 1)))]
+        M_dense, dense_dofs = M_o, dofs[n_uncut:]
+    else:
+        m_blocks = []
+        M_dense = np.concatenate([sm * M_full[sig[:n_uncut]], M_o])
+        dense_dofs = dofs
+    if params.lumping == "row_sum":
+        M_dense = row_sum_lump(M_dense)
+    elif params.lumping == "hrz":
+        M_dense = hrz_lump(M_dense)
+    m_blocks.append((dense_dofs, M_dense))
 
-    m_rows, m_cols, m_vals = [], [], []
-    k_rows, k_cols, k_vals = [], [], []
-
-    def scatter_dense(dofs, mat, rows, cols, vals):
-        rows.append(dofs[rr_local])
-        cols.append(dofs[cc_local])
-        vals.append(mat.ravel())
-
-    def scatter_diag(dofs, vec):
-        m_rows.append(dofs)
-        m_cols.append(dofs)
-        m_vals.append(vec)
-
-    cut_ijks = []
-    for ijk in grid.kept:
-        tijk = tuple(int(v) for v in ijk)
-        dofs = dofmap.element_dofs(spec.element_funcs_1d(tijk[0]),
-                                   spec.element_funcs_1d(tijk[1]),
-                                   spec.element_funcs_1d(tijk[2]))
-        if grid.classes[tijk] == ElementClass.CUT:
-            cut_ijks.append((tijk, dofs))
-            continue
-        M_repr, K_ref = cache.uncut_element(tijk)
-        scatter_dense(dofs, sk * K_ref, k_rows, k_cols, k_vals)
-        if M_repr[0] == "diag":
-            scatter_diag(dofs, sm * M_repr[1])
-        else:
-            M_el = sm * M_repr[1]
-            if lump == "row_sum":
-                scatter_diag(dofs, row_sum_lump(M_el))
-            elif lump == "hrz":
-                scatter_diag(dofs, hrz_lump(M_el))
-            else:
-                scatter_dense(dofs, M_el, m_rows, m_cols, m_vals)
-
-    if cut_ijks:
-        M_o = np.empty((len(cut_ijks), n3, n3))
-        M_f = np.empty_like(M_o)
-        for e, (tijk, dofs) in enumerate(cut_ijks):
-            ints = cache.cut_element(tijk)
-            M_full, K_full = cache.full_element(tijk)
-            M_o[e] = sm * (ints.M_in + params.alpha * (M_full - ints.M_in))
-            M_f[e] = sm * M_full
-            K_el = sk * (ints.K_in + params.alpha * (K_full - ints.K_in))
-            scatter_dense(dofs, K_el, k_rows, k_cols, k_vals)
-        if params.epsilon > 0.0:
-            M_o = evs_stabilize(M_o, M_f, params.epsilon, params.f_lambda)
-        for e, (tijk, dofs) in enumerate(cut_ijks):
-            if lump == "row_sum":
-                scatter_diag(dofs, row_sum_lump(M_o[e]))
-            elif lump == "hrz":
-                scatter_diag(dofs, hrz_lump(M_o[e]))
-            else:
-                scatter_dense(dofs, M_o[e], m_rows, m_cols, m_vals)
-
-    n_dof = dofmap.n_dof
-    M = _to_csr(m_rows, m_cols, m_vals, n_dof)
-    K = _to_csr(k_rows, k_cols, k_vals, n_dof)
+    n_dof = grid.n_dof
+    M = _to_csr(m_blocks, n_dof)
+    K = _to_csr([(dofs, K_el)], n_dof)
     if source is not None:
-        F_s = spatial_load(grid, source, alpha=params.alpha, rho=rho,
+        F_s = spatial_load(grid, source, alpha=alpha, rho=rho,
                            octree_depth=cache.octree_depth, q=cache.q)
     else:
         F_s = np.zeros(n_dof)
@@ -588,7 +503,18 @@ def assemble(grid: Grid, params: StabilizationParams, rho: float = 1.0,
                           rho=rho, c=c)
 
 
-def _to_csr(rows, cols, vals, n_dof):
+def _to_csr(blocks, n_dof):
+    """Sum of element blocks ``(dofs (E, n), values)`` as one CSR matrix;
+    values (E, n) are diagonal blocks, (E, n, n) dense ones."""
+    rows, cols, vals = [], [], []
+    for dofs, v in blocks:
+        if v.ndim == 3:
+            r, c = np.broadcast_arrays(dofs[:, :, None], dofs[:, None, :])
+        else:
+            r = c = dofs
+        rows.append(r.ravel())
+        cols.append(c.ravel())
+        vals.append(v.ravel())
     A = sp.coo_matrix(
         (np.concatenate(vals),
          (np.concatenate(rows), np.concatenate(cols))),
@@ -636,13 +562,15 @@ class TensorSystem:
         m1 = np.zeros((n1, n1))
         k1 = np.zeros((n1, n1))
         d = np.zeros(n1)
-        for e in range(spec.n_e):
-            V, D = basis_eval_1d(grid, e, g.nodes)
-            f0 = spec.element_funcs_1d(e)[0]
-            s = slice(f0, f0 + spec.p + 1)
-            m1[s, s] += (h / 2.0) * (V * g.weights[:, None]).T @ V
-            k1[s, s] += (2.0 / h) * (D * g.weights[:, None]).T @ D
-            d[s] += (h / 2.0) * w
+        V, D = spec.eval_element(0, g.nodes)    # the same on every element
+        f = spec.element_funcs_1d(np.arange(spec.n_e))
+        block = np.broadcast_arrays(f[:, :, None], f[:, None, :])
+        # Values get the full index shape: np.add.at (numpy 2.4) adds
+        # garbage when it broadcasts a 1D value over 2D indices.
+        for A, a_el in ((m1, (h / 2.0) * (V * g.weights[:, None]).T @ V),
+                        (k1, (2.0 / h) * (D * g.weights[:, None]).T @ D)):
+            np.add.at(A, tuple(block), np.broadcast_to(a_el, block[0].shape))
+        np.add.at(d, f, np.broadcast_to((h / 2.0) * w, f.shape))
         # The stiffness factors stay fully integrated and only the mass
         # uses the nodal GLL diagonal, so both operators match the
         # element-by-element assembly.
@@ -737,11 +665,9 @@ def spatial_load(grid: Grid, source: SourceSpec, alpha: float,
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must be in (0, 1]")
-    spec = grid.spec
-    q = q if q is not None else spec.p + 1
+    q = q if q is not None else grid.spec.p + 1
     rules = _LeafRules(grid, octree_depth, q)
-    dofmap = grid.dofmap
-    F = np.zeros(dofmap.n_dof)
+    F = np.zeros(grid.n_dof)
     src_local = np.asarray(source.x_local, dtype=float)
     if grid.boundary_fitted:
         src_grid = src_local
@@ -749,25 +675,21 @@ def spatial_load(grid: Grid, source: SourceSpec, alpha: float,
         src_grid = grid.geom.to_global(src_local)
     cutoff = 14.0 * source.sigma
     whole = np.zeros((1, 3), dtype=int)   # interval ids of the element itself
-    for ijk in grid.kept:
-        tijk = tuple(int(v) for v in ijk)
-        box = grid.element_box(tijk)
+    for ijk, cut in zip(grid.kept, grid.kept_cut):
+        box = grid.element_box(ijk)
         nearest = np.clip(src_grid, box.lo, box.hi)
         if np.linalg.norm(nearest - src_grid) > cutoff:
             continue
-        if grid.classes[tijk] == ElementClass.CUT:
+        if cut:
             ids = rules.leaf_ids(box, octree_partition(grid.geom, box,
                                                        octree_depth))
         else:
             ids = whole
-        pts = rules.points(tijk, box, ids)
+        pts = rules.points(ijk, box, ids)
         a_fcm = np.where(grid.point_alpha_mask(pts.x), 1.0, alpha)
         f = source.evaluate(grid.to_local(pts.x))
         weights = rho * (grid.h / 2.0) ** 3 * pts.w * a_fcm * f
         F_el = np.einsum("lqrs,lqa,lrb,lsc->abc", weights, *pts.V,
                          optimize=True).ravel()
-        dofs = dofmap.element_dofs(spec.element_funcs_1d(tijk[0]),
-                                   spec.element_funcs_1d(tijk[1]),
-                                   spec.element_funcs_1d(tijk[2]))
-        np.add.at(F, dofs, F_el)
+        np.add.at(F, grid.element_dofs(ijk), F_el)
     return F

@@ -211,23 +211,26 @@ class BasisSpec:
             return self.n_e * self.p + 1
         return self.n_e + self.p
 
-    def element_funcs_1d(self, e: int) -> np.ndarray:
-        """Global indices of the functions supported on element ``e``."""
-        if self.family == "lagrange":
-            return np.arange(e * self.p, e * self.p + self.p + 1)
-        return np.arange(e, e + self.p + 1)
+    def element_funcs_1d(self, e) -> np.ndarray:
+        """Global indices of the functions supported on element(s) ``e``.
 
-    def eval_element(self, e: int, xi, knots=None):
+        The one rule for the 1D layout: element ``e`` starts at function
+        ``e p`` for Lagrange (neighbors share an end node) and ``e`` for
+        B-splines.  An array ``e`` gives shape ``e.shape + (p+1,)``.
+        """
+        stride = self.p if self.family == "lagrange" else 1
+        return np.asarray(e)[..., None] * stride + np.arange(self.p + 1)
+
+    def eval_element(self, e: int, xi):
         """Basis values/derivatives on element ``e`` at reference coords xi.
 
-        ``xi`` lives on [-1, 1]; derivatives are with respect to xi.  For
-        B-splines the caller passes the direction's knot vector.
+        ``xi`` lives on [-1, 1]; derivatives are with respect to xi.
+        B-splines live on the open uniform knot vector over [0, 1].
         """
         xi = np.atleast_1d(np.asarray(xi, dtype=float))
         if self.family == "lagrange":
             return lagrange_eval(gll_rule(self.p).nodes, xi)
-        if knots is None:
-            raise ValueError("bspline evaluation needs the knot vector")
+        knots = open_uniform_knots(self.n_e, self.p)
         a = knots[self.p + e]
         b = knots[self.p + e + 1]
         x = a + (b - a) * (xi + 1.0) / 2.0

@@ -24,9 +24,8 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 
-from .assembly import (DEFAULT_OCTREE_DEPTH, ElementIntegralCache, Grid,
-                       SourceSpec, TensorSystem, assemble, basis_eval_1d,
-                       ricker, spatial_load)
+from .assembly import (DEFAULT_OCTREE_DEPTH, Grid, SourceSpec, TensorSystem,
+                       assemble, ricker, spatial_load)
 from .basis import BasisSpec
 from .geometry import ElementClass, ImmersedGeometry
 from .linalg import dt_crit
@@ -79,11 +78,10 @@ def observer_matrix(grid: Grid) -> sp.csr_matrix:
     element size.
     """
     geom = grid.geom
-    spec = grid.spec
     pts = build_observers(geom.l_p)
     if not grid.boundary_fitted:
         pts = geom.to_global(pts)
-    n_e, h, origin = spec.n_e, grid.h, grid.origin
+    n_e, h, origin = grid.spec.n_e, grid.h, grid.origin
     kept_lo = origin + grid.kept * h
     rows, cols, vals = [], [], []
     for i, x in enumerate(pts):
@@ -98,13 +96,11 @@ def observer_matrix(grid: Grid) -> sp.csr_matrix:
             idx = grid.kept[j]
         lo = origin + idx * h
         xi = np.clip(2.0 * (x - lo) / h - 1.0, -1.0, 1.0)
-        V = [basis_eval_1d(grid, int(idx[d]), np.array([xi[d]]))[0][0]
+        V = [grid.spec.eval_element(int(idx[d]), xi[d])[0][0]
              for d in range(3)]
         w = (V[0][:, None, None] * V[1][None, :, None]
              * V[2][None, None, :]).ravel()
-        dofs = grid.dofmap.element_dofs(spec.element_funcs_1d(int(idx[0])),
-                                        spec.element_funcs_1d(int(idx[1])),
-                                        spec.element_funcs_1d(int(idx[2])))
+        dofs = grid.element_dofs(idx)
         rows.extend([i] * dofs.shape[0])
         cols.extend(dofs.tolist())
         vals.extend(w.tolist())
@@ -279,10 +275,6 @@ class BenchmarkReport:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "BenchmarkReport":
-        return cls(**data)
-
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
 
@@ -308,8 +300,7 @@ class PreparedSystem:
     n_t: int
 
 
-def prepare(cfg: BenchmarkConfig,
-            cache: ElementIntegralCache | None = None) -> PreparedSystem:
+def prepare(cfg: BenchmarkConfig) -> PreparedSystem:
     """Build the grid and operators and resolve the time step for a config."""
     geom = cfg.geometry()
     spec = cfg.basis_spec()
@@ -327,7 +318,7 @@ def prepare(cfg: BenchmarkConfig,
                            octree_depth=cfg.octree_depth)
     else:
         system = assemble(grid, stab, rho=cfg.rho, c=cfg.c, source=source,
-                          octree_depth=cfg.octree_depth, cache=cache)
+                          octree_depth=cfg.octree_depth)
         M, K, F_s = system.M, system.K, system.F_s
     obs_mat = observer_matrix(grid)
 
@@ -375,8 +366,7 @@ def execute(prep: PreparedSystem, cfg: BenchmarkConfig) -> RunResult:
                     obs_mat=prep.obs_mat, beta=cfg.beta, gamma=cfg.gamma)
 
 
-def run_benchmark(cfg: BenchmarkConfig,
-                  cache: ElementIntegralCache | None = None):
+def run_benchmark(cfg: BenchmarkConfig):
     """Prepare and run one configuration.
 
     Returns
@@ -384,7 +374,7 @@ def run_benchmark(cfg: BenchmarkConfig,
     report : BenchmarkReport
     result : RunResult
     """
-    prep = prepare(cfg, cache=cache)
+    prep = prepare(cfg)
     result = execute(prep, cfg)
     return BenchmarkReport.from_run(cfg, prep, result), result
 

@@ -125,8 +125,3 @@ def save_matrix_market(path, A, symmetric=True):
     """Write a sparse matrix in MatrixMarket coordinate format."""
     A = sp.coo_matrix(A)
     scipy.io.mmwrite(str(path), A, symmetry="symmetric" if symmetric else "general")
-
-
-def load_matrix_market(path):
-    """Read a MatrixMarket file as CSR."""
-    return sp.csr_matrix(scipy.io.mmread(str(path)))

@@ -211,63 +211,53 @@ def imex_run(M, K, F_s, f_t, dt: float, n_t: int, c_idx, d_idx,
     M = M.tocsr()
     K = K.tocsr()
 
-    has_d = d_idx.shape[0] > 0
-    has_c = c_idx.shape[0] > 0
-
     t0 = time.perf_counter()
-    if has_c:
-        K_c = K[c_idx]
-        S_fact = factorize(M[c_idx][:, c_idx]
-                           + (beta * dt * dt) * K_c[:, c_idx])
+    K_c = K[c_idx]
+    S_fact = factorize(M[c_idx][:, c_idx] + (beta * dt * dt) * K_c[:, c_idx])
     M_fact = factorize(M)
     if np.isin(d_idx, M_fact.coupled).any():
         raise ValueError("d mass rows couple to other DOFs, so the mass is "
                          "not diagonal on the explicit set; the basis/lumping "
                          "choice does not support the implicit-explicit split")
-    if has_d:
-        m_d = M_fact.diag[d_idx]
-        K_d = K[d_idx]
+    m_d = M_fact.diag[d_idx]
+    K_d = K[d_idx]
     timings.factorization += time.perf_counter() - t0
 
     a = M_fact.solve(f_t(0.0) * F_s - K @ psi)
     a_c = a[c_idx]
-    if has_d:
-        psi_prev_d = psi[d_idx] - dt * v[d_idx] + (0.5 * dt * dt) * a[d_idx]
-    if has_c:
-        psi_c = psi[c_idx].copy()
-        v_c = v[c_idx].copy()
+    psi_prev_d = psi[d_idx] - dt * v[d_idx] + (0.5 * dt * dt) * a[d_idx]
+    psi_c = psi[c_idx].copy()
+    v_c = v[c_idx].copy()
     rec.record(0, psi)
 
     for k in range(n_t):
         t_k = k * dt
         t_new = t_k + dt
-        if has_d:
-            t0 = time.perf_counter()
-            rhs_d = f_t(t_k) * F_s[d_idx] - K_d @ psi
-            timings.rhs += time.perf_counter() - t0
-            t0 = time.perf_counter()
-            psi_d_new = 2.0 * psi[d_idx] - psi_prev_d + (dt * dt) * (rhs_d / m_d)
-            psi_prev_d = psi[d_idx].copy()
-            psi[d_idx] = psi_d_new
-            timings.backward_insertion += time.perf_counter() - t0
-        if has_c:
-            psi_c_pred = psi_c + dt * v_c + (0.5 * dt * dt * (1.0 - 2.0 * beta)) * a_c
-            v_pred = v_c + (dt * (1.0 - gamma)) * a_c
-            psi[c_idx] = psi_c_pred
-            t0 = time.perf_counter()
-            rhs_c = f_t(t_new) * F_s[c_idx] - K_c @ psi
-            timings.rhs += time.perf_counter() - t0
-            t0 = time.perf_counter()
-            a_c = S_fact.solve(rhs_c)
-            psi_c = psi_c_pred + (beta * dt * dt) * a_c
-            v_c = v_pred + (gamma * dt) * a_c
-            psi[c_idx] = psi_c
-            timings.backward_insertion += time.perf_counter() - t0
+        t0 = time.perf_counter()
+        rhs_d = f_t(t_k) * F_s[d_idx] - K_d @ psi
+        timings.rhs += time.perf_counter() - t0
+        t0 = time.perf_counter()
+        psi_d_new = 2.0 * psi[d_idx] - psi_prev_d + (dt * dt) * (rhs_d / m_d)
+        psi_prev_d = psi[d_idx].copy()
+        psi[d_idx] = psi_d_new
+        timings.backward_insertion += time.perf_counter() - t0
+        psi_c_pred = psi_c + dt * v_c + (0.5 * dt * dt * (1.0 - 2.0 * beta)) * a_c
+        v_pred = v_c + (dt * (1.0 - gamma)) * a_c
+        psi[c_idx] = psi_c_pred
+        t0 = time.perf_counter()
+        rhs_c = f_t(t_new) * F_s[c_idx] - K_c @ psi
+        timings.rhs += time.perf_counter() - t0
+        t0 = time.perf_counter()
+        a_c = S_fact.solve(rhs_c)
+        psi_c = psi_c_pred + (beta * dt * dt) * a_c
+        v_c = v_pred + (gamma * dt) * a_c
+        psi[c_idx] = psi_c
+        timings.backward_insertion += time.perf_counter() - t0
         rec.record(k + 1, psi)
         _check(psi, k + 1)
 
     v_out = None
-    if has_c and not has_d:
+    if d_idx.shape[0] == 0:
         v_out = np.zeros(n)
         v_out[c_idx] = v_c
     return RunResult(method="imex", dt=dt, t=rec.t, obs=rec.obs,

@@ -13,8 +13,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
-from wavecell.assembly import (ElementIntegralCache, Grid, assemble,
-                               benchmark_source, ricker)
+from wavecell.assembly import ElementIntegralCache, Grid, assemble, ricker
 from wavecell.basis import BasisSpec
 from wavecell.geometry import ImmersedGeometry
 from wavecell.harness import (BenchmarkConfig, dof_count, execute,
@@ -48,7 +47,7 @@ def run_explicit(system, grid, safety=0.9):
 
 @pytest.fixture(scope="session")
 def source():
-    return benchmark_source(L_P)
+    return BenchmarkConfig(l_p=L_P).source()
 
 
 @pytest.fixture(scope="session")

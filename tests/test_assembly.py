@@ -8,13 +8,13 @@ from wavecell.assembly import (
     SourceSpec,
     TensorSystem,
     assemble,
-    basis_eval_1d,
-    benchmark_source,
     ricker,
     spatial_load,
 )
 from wavecell.basis import BasisSpec, gl_rule
 from wavecell.geometry import ElementClass, ImmersedGeometry, octree_partition
+from wavecell.harness import BenchmarkConfig
+from wavecell.linalg import factorize
 from wavecell.stabilization import StabilizationParams
 
 
@@ -55,7 +55,7 @@ def octree_points(geom, box, q, max_depth):
 
 def point_tables(grid, ijk, xi):
     """Shape functions and their reference gradients at points (n, 3)."""
-    V, D = zip(*(basis_eval_1d(grid, ijk[d], xi[:, d]) for d in range(3)))
+    V, D = zip(*(grid.spec.eval_element(ijk[d], xi[:, d]) for d in range(3)))
     n = xi.shape[0]
     N = np.einsum("qa,qb,qc->qabc", *V).reshape(n, -1)
     grads = [np.einsum("qa,qb,qc->qabc", *(D[k] if k == d else V[k]
@@ -65,6 +65,7 @@ def point_tables(grid, ijk, xi):
 
 
 def cut_elements(grid):
+    """Cut elements in ``grid.kept`` order, the order of the cache stacks."""
     return [tuple(int(v) for v in ijk) for ijk in grid.kept
             if grid.classes[tuple(ijk)] == ElementClass.CUT]
 
@@ -153,15 +154,15 @@ def test_cut_element_against_flat_quadrature_loop(small_grid, small_cache):
     spec = grid.spec
     q = spec.p + 1
     cut = cut_elements(grid)
-    ijk = cut[len(cut) // 2]
-    ints = small_cache.cut_element(ijk)
+    e = len(cut) // 2
+    ijk = cut[e]
     M_full, K_full = small_cache.full_element(ijk)
 
     box = grid.element_box(ijk)
     xi, w, inside = octree_points(grid.geom, box, q, small_cache.octree_depth)
-    Vx, Dx = basis_eval_1d(grid, ijk[0], xi[:, 0])
-    Vy, Dy = basis_eval_1d(grid, ijk[1], xi[:, 1])
-    Vz, Dz = basis_eval_1d(grid, ijk[2], xi[:, 2])
+    Vx, Dx = spec.eval_element(ijk[0], xi[:, 0])
+    Vy, Dy = spec.eval_element(ijk[1], xi[:, 1])
+    Vz, Dz = spec.eval_element(ijk[2], xi[:, 2])
     n3 = (spec.p + 1) ** 3
     M_ref = np.zeros((n3, n3))
     K_ref = np.zeros((n3, n3))
@@ -183,14 +184,15 @@ def test_cut_element_against_flat_quadrature_loop(small_grid, small_cache):
             K_ref += k_q
         Mf_ref += m_q
         Kf_ref += k_q
-    for got, want in ((ints.M_in, M_ref), (ints.K_in, K_ref),
+    for got, want in ((small_cache.M_in[e], M_ref),
+                      (small_cache.K_in[e], K_ref),
                       (M_full, Mf_ref), (K_full, Kf_ref)):
         assert np.abs(got - want).max() <= 1e-12 * max(np.abs(want).max(), 1e-30)
 
     # Load vector: every element within 14 sigma of the source, cut ones
     # near the source included.
     alpha, rho = 1e-3, 1.7
-    source = benchmark_source(0.3)
+    source = BenchmarkConfig(l_p=0.3).source()
     src = grid.geom.to_global(np.asarray(source.x_local))
     F_ref = np.zeros(grid.n_dof)
     near_cut = 0
@@ -204,9 +206,7 @@ def test_cut_element_against_flat_quadrature_loop(small_grid, small_cache):
         f = source.evaluate(grid.geom.to_local(x))
         N, _ = point_tables(grid, ijk, xi)
         weights = rho * (grid.h / 2.0) ** 3 * w * np.where(inside, 1.0, alpha) * f
-        dofs = grid.dofmap.element_dofs(*(spec.element_funcs_1d(int(e))
-                                          for e in ijk))
-        np.add.at(F_ref, dofs, N.T @ weights)
+        np.add.at(F_ref, grid.element_dofs(ijk), N.T @ weights)
     assert near_cut > 0
     F = spatial_load(grid, source, alpha=alpha, rho=rho,
                      octree_depth=small_cache.octree_depth)
@@ -220,8 +220,8 @@ def test_cut_element_parts_sum_to_uncut_element(small_grid, small_cache):
     grid = small_grid
     q = grid.spec.p + 1
     g = gl_rule(q)
-    for ijk in cut_elements(grid):
-        ones = [basis_eval_1d(grid, e, g.nodes) for e in ijk]
+    for e, ijk in enumerate(cut_elements(grid)):
+        ones = [grid.spec.eval_element(f, g.nodes) for f in ijk]
         m1 = [(V * g.weights[:, None]).T @ V for V, _ in ones]
         k1 = [(D * g.weights[:, None]).T @ D for _, D in ones]
         M_uncut = kron3(*m1)
@@ -233,9 +233,8 @@ def test_cut_element_parts_sum_to_uncut_element(small_grid, small_cache):
         w_out = np.where(inside, 0.0, w)[:, None]
         M_fict = (N * w_out).T @ N
         K_fict = sum((G * w_out).T @ G for G in grads)
-        ints = small_cache.cut_element(ijk)
-        for part, fict, uncut in ((ints.M_in, M_fict, M_uncut),
-                                  (ints.K_in, K_fict, K_uncut)):
+        for part, fict, uncut in ((small_cache.M_in[e], M_fict, M_uncut),
+                                  (small_cache.K_in[e], K_fict, K_uncut)):
             assert np.abs(part + fict - uncut).max() <= 1e-13 * np.abs(uncut).max()
 
 
@@ -250,19 +249,30 @@ def test_cut_element_fictitious_mass_total(small_grid, small_cache):
 
 def test_cd_partition_matches_support_scan(small_grid):
     dofmap = small_grid.dofmap
-    spec = small_grid.spec
     on_cut = set()
-    for ijk in small_grid.kept:
-        tijk = tuple(int(v) for v in ijk)
-        if small_grid.classes[tijk] != ElementClass.CUT:
-            continue
-        dofs = dofmap.element_dofs(spec.element_funcs_1d(tijk[0]),
-                                   spec.element_funcs_1d(tijk[1]),
-                                   spec.element_funcs_1d(tijk[2]))
-        on_cut.update(int(d) for d in dofs)
+    for ijk in cut_elements(small_grid):
+        on_cut.update(int(d) for d in small_grid.element_dofs(ijk))
     assert np.array_equal(np.sort(dofmap.c_idx), np.array(sorted(on_cut)))
     both = np.concatenate([dofmap.c_idx, dofmap.d_idx])
     assert np.array_equal(np.sort(both), np.arange(dofmap.n_dof))
+
+
+@pytest.mark.parametrize("family", ["lagrange", "bspline"])
+def test_element_dofs_match_loop_reference(benchmark_geometry, family):
+    # the element-DOF table against the layout written out element by
+    # element: first function e p (Lagrange) or e (B-splines), z fastest
+    p = 2
+    grid = Grid.build(benchmark_geometry, BasisSpec(family=family, p=p, n_e=4))
+    n1 = grid.spec.n_funcs_1d
+    stride = p if family == "lagrange" else 1
+    table = grid.element_dofs(grid.kept)
+    assert table.shape == (grid.n_kept, (p + 1) ** 3)
+    for row, ijk in zip(table, grid.kept):
+        lex = [((ijk[0] * stride + a) * n1 + ijk[1] * stride + b) * n1
+               + ijk[2] * stride + c
+               for a in range(p + 1) for b in range(p + 1) for c in range(p + 1)]
+        assert np.array_equal(row, grid.dofmap.compact_of_lex[lex])
+        assert (row >= 0).all()
 
 
 def test_dofmap_round_trip(small_grid):
@@ -400,6 +410,36 @@ def test_source_spec_evaluate():
 
 
 def test_benchmark_source_placement():
-    src = benchmark_source(0.3)
+    src = BenchmarkConfig(l_p=0.3).source()
     assert src.x_local == (-0.15, 0.0, 0.0)
     assert src.sigma == 0.01
+
+
+@pytest.mark.parametrize("family", ["lagrange", "bspline"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_assembly_invariants_random_rotation(family, seed):
+    angles = np.random.default_rng(seed).uniform(-180.0, 180.0, 3)
+    spec = BasisSpec(family=family, p=2, n_e=4)
+    geom = ImmersedGeometry.from_angles(0.3, 0.5, angles)
+    grid = Grid.build(geom, spec)
+    cache = ElementIntegralCache(grid, octree_depth=2)
+    system = assemble(grid, StabilizationParams(alpha=1e-8), cache=cache)
+    for A in (system.M, system.K):
+        d = A - A.T
+        assert d.nnz == 0 or np.abs(d.data).max() <= 1e-14 * np.abs(A.data).max()
+    K_inf = np.abs(system.K).sum(axis=1).max()
+    assert np.abs(system.K @ np.ones(grid.n_dof)).max() <= 1e-12 * K_inf
+    factorize(system.M)
+    # indicator one everywhere: every kept element carries rho h^3
+    rho = 1.7
+    full = assemble(grid, StabilizationParams(alpha=1.0), rho=rho, cache=cache)
+    mass = rho * grid.h**3 * grid.n_kept
+    assert abs(full.M.sum() - mass) <= 1e-12 * mass
+    dofmap = grid.dofmap
+    both = np.concatenate([dofmap.c_idx, dofmap.d_idx])
+    assert np.array_equal(np.sort(both), np.arange(grid.n_dof))
+    # a quarter turn of the cube about its own x axis, or of the whole
+    # configuration about the global z axis, leaves the grid unchanged
+    for turn in ((90.0, 0.0, 0.0), (0.0, 0.0, 90.0)):
+        turned = ImmersedGeometry.from_angles(0.3, 0.5, angles + turn)
+        assert Grid.build(turned, spec).n_dof == grid.n_dof

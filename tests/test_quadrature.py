@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from wavecell.assembly import (ElementIntegralCache, Grid, SourceSpec,
-                               basis_eval_1d, spatial_load)
+                               spatial_load)
 from wavecell.basis import BasisSpec, gl_rule
 from wavecell.geometry import Box, ElementClass, ImmersedGeometry
 
@@ -38,7 +38,7 @@ def one_element_grid(geom, box, p=2, klass=ElementClass.CUT):
 def inside_volume(geom, box, depth):
     """Inside reference volume of ``box`` by the cache (q = 3)."""
     cache = ElementIntegralCache(one_element_grid(geom, box), octree_depth=depth)
-    return float(cache.cut_element(ORIGIN).M_in.sum())
+    return float(cache.M_in[0].sum())
 
 
 def inside_box():
@@ -73,10 +73,9 @@ def test_cut_rule_on_inside_element_reduces_to_tensor():
     g, b = inside_box()
     grid = one_element_grid(g, b)
     cache = ElementIntegralCache(grid, octree_depth=4)
-    ints = cache.cut_element(ORIGIN)
     M_full, K_full = cache.full_element(ORIGIN)
-    assert np.abs(ints.M_in - M_full).max() <= 1e-14 * np.abs(M_full).max()
-    assert np.abs(ints.K_in - K_full).max() <= 1e-14 * np.abs(K_full).max()
+    assert np.abs(cache.M_in[0] - M_full).max() <= 1e-14 * np.abs(M_full).max()
+    assert np.abs(cache.K_in[0] - K_full).max() <= 1e-14 * np.abs(K_full).max()
     src = SourceSpec(x_local=(0.0, 0.0, 0.0), sigma=0.01)
     F_cut = spatial_load(grid, src, alpha=1e-4, octree_depth=4)
     F_uncut = spatial_load(one_element_grid(g, b, klass=ElementClass.INSIDE),
@@ -89,8 +88,9 @@ def test_cut_rule_on_outside_element_scales_by_alpha():
     b = Box(np.array([0.01, 0.01, 0.01]), np.array([0.05, 0.05, 0.05]))
     assert g.classify_box(b) == ElementClass.OUTSIDE
     grid = one_element_grid(g, b)
-    ints = ElementIntegralCache(grid, octree_depth=4).cut_element(ORIGIN)
-    assert not ints.M_in.any() and not ints.K_in.any()
+    cache = ElementIntegralCache(grid, octree_depth=4)
+    assert cache.M_in.shape[0] == 1
+    assert not cache.M_in.any() and not cache.K_in.any()
     alpha = 1e-4
     F_one = spatial_load(grid, FLAT, alpha=1.0, octree_depth=4)
     F_alpha = spatial_load(grid, FLAT, alpha=alpha, octree_depth=4)
@@ -173,11 +173,11 @@ def test_max_depth_leaves_classify_pointwise():
     w = np.einsum("i,j,k->ijk", rule.weights, rule.weights, rule.weights).ravel()
     inside = g.contains(b.lo + (xi + 1.0) / 2.0 * (b.hi - b.lo))
     assert inside.any() and not inside.all()
-    V = [basis_eval_1d(grid, 0, xi[:, d])[0] for d in range(3)]
+    V = [grid.spec.eval_element(0, xi[:, d])[0] for d in range(3)]
     N = np.einsum("qa,qb,qc->qabc", *V).reshape(len(w), -1)
     M_in = (N * np.where(inside, w, 0.0)[:, None]).T @ N
-    ints = ElementIntegralCache(grid, octree_depth=0).cut_element(ORIGIN)
-    assert np.abs(ints.M_in - M_in).max() <= 1e-14 * np.abs(M_in).max()
+    cache = ElementIntegralCache(grid, octree_depth=0)
+    assert np.abs(cache.M_in[0] - M_in).max() <= 1e-14 * np.abs(M_in).max()
     F = spatial_load(grid, FLAT, alpha=alpha, octree_depth=0)
     F_ref = (grid.h / 2.0) ** 3 * N.T @ (w * np.where(inside, 1.0, alpha))
     assert np.abs(F - F_ref).max() <= 1e-13 * np.abs(F_ref).max()

@@ -53,8 +53,8 @@ def test_evs_lifts_small_eigenvalues_monotonically(small_grid, small_cache):
     cuts = [tuple(int(v) for v in ijk) for ijk in small_grid.kept
             if small_grid.classes[tuple(ijk)] == ElementClass.CUT]
     best = None
-    for ijk in cuts:
-        M_in = small_cache.cut_element(ijk).M_in
+    # the cache stacks cut elements in kept order
+    for ijk, M_in in zip(cuts, small_cache.M_in):
         M_f, _ = small_cache.full_element(ijk)
         M_o = M_in + 1e-10 * (M_f - M_in)
         lo = np.linalg.eigvalsh(M_o)[0]
