@@ -259,12 +259,10 @@ class _LeafRules:
         stiffness ``(V, D, m1, k1)`` on element ``e``."""
         key = int(_signature(self.grid.spec, e))
         if key not in self._tables:
-            n = self.grid.spec.p + 1
-            V, D = self.grid.spec.eval_element(e, self.xi.ravel())
-            V = V.reshape(-1, self.q, n)
-            D = D.reshape(-1, self.q, n)
-            m1 = np.einsum("lqa,lq,lqb->lab", V, self.w, V)
-            k1 = np.einsum("lqa,lq,lqb->lab", D, self.w, D)
+            V, D = (A.reshape(self.w.shape + (-1,)) for A in
+                    self.grid.spec.eval_element(e, self.xi.ravel()))
+            m1, k1 = (np.einsum("lqa,lq,lqb->lab", A, self.w, A)
+                      for A in (V, D))
             self._tables[key] = (V, D, m1, k1)
         return self._tables[key]
 
@@ -281,12 +279,11 @@ class _LeafRules:
         V = [tabs[d][0][ids[:, d]] for d in range(3)]
         D = [tabs[d][1][ids[:, d]] for d in range(3)]
         w = np.einsum("lq,lr,ls->lqrs", *(self.w[ids[:, d]] for d in range(3)))
-        x = np.empty(w.shape + (3,))
-        for d in range(3):
-            shape = [ids.shape[0], 1, 1, 1]
-            shape[d + 1] = self.q
-            x1 = box.lo[d] + (self.xi[ids[:, d]] + 1.0) / 2.0 * (box.hi[d] - box.lo[d])
-            x[..., d] = x1.reshape(shape)
+        x = [box.lo[d] + (self.xi[ids[:, d]] + 1.0) / 2.0 * (box.hi[d] - box.lo[d])
+             for d in range(3)]
+        x = np.stack(np.broadcast_arrays(x[0][:, :, None, None],
+                                         x[1][:, None, :, None],
+                                         x[2][:, None, None, :]), axis=-1)
         return _LeafPoints(V=V, D=D, w=w, x=x)
 
 
@@ -302,7 +299,9 @@ class ElementIntegralCache:
     Gauss-Legendre points per octree leaf integrate the degree-2p integrand
     exactly.  Building the cache is the expensive geometric step;
     assembling a system for given stabilization parameters afterwards is
-    cheap, which is what makes parameter sweeps affordable.
+    cheap, which is what makes parameter sweeps affordable.  The octree
+    leaves of every cut element are kept (as dyadic interval ids) so that
+    :func:`spatial_load` integrates on them without partitioning again.
     """
 
     def __init__(self, grid: Grid, octree_depth: int = DEFAULT_OCTREE_DEPTH):
@@ -312,110 +311,109 @@ class ElementIntegralCache:
         if self.octree_depth < 0:
             raise ValueError("octree depth must be >= 0")
         self._rules = _LeafRules(grid, self.octree_depth, self.q)
-        self._uncut: dict = {}
+        self._full: dict = {}
         cut = grid.kept[grid.kept_cut]
         n3 = (grid.spec.p + 1) ** 3
         self.M_in = np.zeros((cut.shape[0], n3, n3))
         self.K_in = np.zeros((cut.shape[0], n3, n3))
-        for ijk, M_in, K_in in zip(cut, self.M_in, self.K_in):
-            self._integrate_cut(ijk, M_in, K_in)
-
-    def _uncut_1d(self, e: int):
-        """Exact 1D mass/stiffness on the reference element (GL rule)."""
-        key = ("1d", int(_signature(self.grid.spec, e)))
-        if key not in self._uncut:
-            g = gl_rule(self.q)
-            V, D = self.grid.spec.eval_element(e, g.nodes)
-            m1 = (V * g.weights[:, None]).T @ V
-            k1 = (D * g.weights[:, None]).T @ D
-            self._uncut[key] = (m1, k1)
-        return self._uncut[key]
+        self._leaf_ids = []
+        for e, ijk in enumerate(cut):
+            box = grid.element_box(ijk)
+            leaves = octree_partition(grid.geom, box, self.octree_depth)
+            ids = self._rules.leaf_ids(box, leaves).astype(np.int32)
+            self._leaf_ids.append(ids)          # the load's leaves
+            self.M_in[e], self.K_in[e] = self._integrate_cut(
+                ijk, box, leaves.cls, ids)
 
     def full_element(self, ijk):
-        """Exact reference ``(M, K)`` of the whole element (indicator one),
-        the Kronecker products of the 1D Gauss-Legendre matrices."""
-        key = ("full",) + tuple(_signature(self.grid.spec, ijk).tolist())
-        if key not in self._uncut:
-            (m1x, k1x), (m1y, k1y), (m1z, k1z) = (self._uncut_1d(int(e))
-                                                  for e in ijk)
-            K = (_kron3(k1x, m1y, m1z) + _kron3(m1x, k1y, m1z)
-                 + _kron3(m1x, m1y, k1z))
-            self._uncut[key] = (_kron3(m1x, m1y, m1z), K)
-        return self._uncut[key]
-
-    def _integrate_cut(self, ijk, M_in, K_in):
-        """Add the inside part of cut element ``ijk`` to ``M_in``, ``K_in``."""
-        grid = self.grid
-        n3 = M_in.shape[0]
-        box = grid.element_box(ijk)
-        leaves = octree_partition(grid.geom, box, self.octree_depth)
-        ids = self._rules.leaf_ids(box, leaves)
-
-        # Inside leaves keep the tensor-product structure.
-        sel = np.flatnonzero(leaves.cls == ElementClass.INSIDE)
-        if sel.shape[0]:
+        """Exact reference ``(M, K)`` of the whole element (indicator one):
+        the Kronecker products of the 1D Gauss-Legendre matrices of the
+        depth-0 leaf, one pair per boundary signature."""
+        key = tuple(_signature(self.grid.spec, ijk).tolist())
+        if key not in self._full:
             tabs = [self._rules.tables(int(e)) for e in ijk]
-            mx, my, mz = (tabs[d][2][ids[sel, d]] for d in range(3))
-            kx, ky, kz = (tabs[d][3][ids[sel, d]] for d in range(3))
-            M_in += _kron3_sum(mx, my, mz)
-            K_in += _kron3_sum(kx, my, mz)
-            K_in += _kron3_sum(mx, ky, mz)
-            K_in += _kron3_sum(mx, my, kz)
+            terms = _separable_terms([t[2][:1] for t in tabs],
+                                     [t[3][:1] for t in tabs])
+            self._full[key] = (_pair_gemm(self.q, *terms[:2]),
+                               _pair_gemm(self.q, *terms[2:]))
+        return self._full[key]
 
-        # Leaves still cut at maximum depth: only their inside points count.
-        sel = np.flatnonzero(leaves.cls == ElementClass.CUT)
-        if sel.shape[0]:
+    def _integrate_cut(self, ijk, box: Box, cls, ids):
+        """Inside ``(M, K)`` of cut element ``ijk`` from its octree leaves
+        (classes ``cls``, interval ids ``ids``), by sum factorization.
+
+        Every leaf adds Kronecker products X (x) YZ of an x-direction
+        factor and a y-z pair, so each matrix is one GEMM over the stacked
+        terms.  Inside leaves pair their 1D partial matrices.  Leaves still
+        cut at maximum depth contract their masked weights with per-point
+        pair tables, z then y, which leaves one x factor per x point.
+        """
+        x_m, yz_m, x_k, yz_k = [], [], [], []
+        sel = cls == ElementClass.INSIDE
+        if sel.any():
+            tabs = [self._rules.tables(int(i)) for i in ijk]
+            x_m, yz_m, x_k, yz_k = _separable_terms(
+                [t[2][ids[sel, d]] for d, t in enumerate(tabs)],
+                [t[3][ids[sel, d]] for d, t in enumerate(tabs)])
+        sel = cls == ElementClass.CUT
+        if sel.any():
             pts = self._rules.points(ijk, box, ids[sel])
-            inside = grid.point_alpha_mask(pts.x)
-            l, a, b, c = np.nonzero(inside)
-            w = pts.w[inside]
-            vals = (pts.V[0][l, a], pts.V[1][l, b], pts.V[2][l, c])
-            ders = (pts.D[0][l, a], pts.D[1][l, b], pts.D[2][l, c])
-            # Chunk so the (points x n^3) work arrays stay modest.
-            chunk = max(1, 2**22 // n3)
-            for s in range(0, w.shape[0], chunk):
-                part = slice(s, s + chunk)
-                wp = w[part, None]
-                N = _outer3(*(v[part] for v in vals))
-                M_in += (N * wp).T @ N
-                for d in range(3):
-                    G = _outer3(*((ders if k == d else vals)[k][part]
-                                  for k in range(3)))
-                    K_in += (G * wp).T @ G
+            L, q = pts.w.shape[:2]
+            W = np.where(self.grid.point_alpha_mask(pts.x), pts.w, 0.0)
+            # Per-point pair tables V (x) V and D (x) D, (L, q, n^2) each.
+            (Vx, Vy, Vz), (Dx, Dy, Dz) = ([_outer(A, A) for A in T]
+                                          for T in (pts.V, pts.D))
+            # z: one (q^2 x q)(q x n^2) product per leaf.
+            W = W.reshape(L, q * q, q)
+            Wm, Wk = ((W @ Z).reshape(L, q, q, -1) for Z in (Vz, Dz))
+            # y: one (n^2 x q)(q x n^2) product per leaf and x point.
+            Vy, Dy = (Y.transpose(0, 2, 1)[:, None] for Y in (Vy, Dy))
+            Sm = Vy @ Wm
+            x_m.append(Vx)
+            yz_m.append(Sm)
+            x_k += [Dx, Vx]
+            yz_k += [Sm, Dy @ Wm + Vy @ Wk]
+        if not x_m:
+            return 0.0, 0.0     # every leaf is outside
+        return _pair_gemm(self.q, x_m, yz_m), _pair_gemm(self.q, x_k, yz_k)
 
 
-def _outer3(A, B, C):
-    """Row-wise tensor products of three (P, n) tables, shape (P, n^3)."""
-    P, n = A.shape
-    return np.einsum("pa,pb,pc->pabc", A, B, C).reshape(P, n**3)
+def _outer(A, B):
+    """Outer products over the last axis, flattened: (..., m) and (..., k)
+    give (..., m k)."""
+    return (A[..., :, None] * B[..., None, :]).reshape(A.shape[:-1] + (-1,))
 
 
-def _kron3(Ax, Ay, Az):
-    n = Ax.shape[0]
-    out = np.einsum("ad,be,cf->abcdef", Ax, Ay, Az)
-    return out.reshape(n**3, n**3)
+def _separable_terms(m, k):
+    """GEMM terms ``(x_m, yz_m, x_k, yz_k)`` of the summed Kronecker
+    products m_x m_y m_z and k_x m_y m_z + m_x k_y m_z + m_x m_y k_z, from
+    stacks (L, n, n) of 1D mass ``m`` and stiffness ``k`` per direction."""
+    (mx, my, mz), (kx, ky, kz) = ([a.reshape(a.shape[0], -1) for a in s]
+                                  for s in (m, k))
+    yz = _outer(my, mz)
+    return [mx], [yz], [kx, mx], [yz, _outer(ky, mz) + _outer(my, kz)]
 
 
-def _kron3_sum(Ax, Ay, Az):
-    """Sum over a batch of 1D matrix triples of their Kronecker products."""
-    n = Ax.shape[-1]
-    out = np.einsum("lad,lbe,lcf->abcdef", Ax, Ay, Az)
+def _pair_gemm(n, xs, yzs):
+    """Sum of the Kronecker products X (x) YZ of stacked terms, as one
+    (n^3, n^3) matrix.
+
+    ``xs`` holds x-direction factors indexed (a, d), ``yzs`` the matching
+    y-z pairs indexed (b, e, c, f); all leading axes form the contraction
+    axis.  One GEMM gives rows (a, d) and columns (b, e, c, f), and one
+    transpose reorders them to ((a, b, c), (d, e, f)) with z fastest.
+    """
+    X = np.concatenate([x.reshape(-1, n**2) for x in xs])
+    YZ = np.concatenate([yz.reshape(-1, n**4) for yz in yzs])
+    out = (X.T @ YZ).reshape((n,) * 6).transpose(0, 2, 4, 1, 3, 5)
     return out.reshape(n**3, n**3)
 
 
 def _dyadic_intervals(max_depth: int):
     """Start, length, and id offsets of all dyadic subintervals of [-1, 1]."""
-    starts, lengths = [], []
-    offsets = np.zeros(max_depth + 1, dtype=int)
-    acc = 0
-    for d in range(max_depth + 1):
-        m = 2**d
-        offsets[d] = acc
-        acc += m
-        L = 2.0 / m
-        starts.append(-1.0 + L * np.arange(m))
-        lengths.append(np.full(m, L))
-    return np.concatenate(starts), np.concatenate(lengths), offsets
+    m = 2 ** np.arange(max_depth + 1)          # intervals per depth
+    starts = np.concatenate([-1.0 + 2.0 / k * np.arange(k) for k in m])
+    return starts, np.repeat(2.0 / m, m), np.cumsum(m) - m
 
 
 @dataclass
@@ -496,7 +494,8 @@ def assemble(grid: Grid, params: StabilizationParams, rho: float = 1.0,
     K = _to_csr([(dofs, K_el)], n_dof)
     if source is not None:
         F_s = spatial_load(grid, source, alpha=alpha, rho=rho,
-                           octree_depth=cache.octree_depth, q=cache.q)
+                           octree_depth=cache.octree_depth, q=cache.q,
+                           cache=cache)
     else:
         F_s = np.zeros(n_dof)
     return DiscreteSystem(M=M, K=K, F_s=F_s, grid=grid, params=params,
@@ -654,19 +653,27 @@ class _TensorCGFactorization:
 
 def spatial_load(grid: Grid, source: SourceSpec, alpha: float,
                  rho: float = 1.0, octree_depth: int = DEFAULT_OCTREE_DEPTH,
-                 q: int | None = None) -> np.ndarray:
+                 q: int | None = None,
+                 cache: ElementIntegralCache | None = None) -> np.ndarray:
     """Load vector F_s[i] = integral of alpha_fcm rho f_s N_i.
 
     Every element within 14 sigma of the source is integrated on the same
     octree leaves as the cut-element integrals (the element itself when
     uncut); each point takes its indicator from
     :meth:`Grid.point_alpha_mask`.  Farther elements contribute below
-    double precision resolution and are skipped.
+    double precision resolution and are skipped.  A ``cache`` of this grid
+    and depth supplies the cut elements' leaves (and its leaf tables when
+    ``q`` matches) instead of partitioning again; the result is the same
+    to the bit.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must be in (0, 1]")
     q = q if q is not None else grid.spec.p + 1
-    rules = _LeafRules(grid, octree_depth, q)
+    if cache is not None and (cache.grid is not grid
+                              or cache.octree_depth != octree_depth):
+        raise ValueError("the cache belongs to another grid or octree depth")
+    rules = (cache._rules if cache is not None and cache.q == q
+             else _LeafRules(grid, octree_depth, q))
     F = np.zeros(grid.n_dof)
     src_local = np.asarray(source.x_local, dtype=float)
     if grid.boundary_fitted:
@@ -675,16 +682,19 @@ def spatial_load(grid: Grid, source: SourceSpec, alpha: float,
         src_grid = grid.geom.to_global(src_local)
     cutoff = 14.0 * source.sigma
     whole = np.zeros((1, 3), dtype=int)   # interval ids of the element itself
-    for ijk, cut in zip(grid.kept, grid.kept_cut):
+    cut_no = np.cumsum(grid.kept_cut) - 1  # position in the cache's stacks
+    for ijk, cut, e in zip(grid.kept, grid.kept_cut, cut_no):
         box = grid.element_box(ijk)
         nearest = np.clip(src_grid, box.lo, box.hi)
         if np.linalg.norm(nearest - src_grid) > cutoff:
             continue
-        if cut:
+        if not cut:
+            ids = whole
+        elif cache is not None:
+            ids = cache._leaf_ids[e]
+        else:
             ids = rules.leaf_ids(box, octree_partition(grid.geom, box,
                                                        octree_depth))
-        else:
-            ids = whole
         pts = rules.points(ijk, box, ids)
         a_fcm = np.where(grid.point_alpha_mask(pts.x), 1.0, alpha)
         f = source.evaluate(grid.to_local(pts.x))

@@ -13,6 +13,7 @@ Two basis families are supported on tensor-product grids:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -24,12 +25,19 @@ class Rule1D:
     nodes: np.ndarray
     weights: np.ndarray
 
+    def __post_init__(self):
+        # The memoized rules are shared by every caller: keep them read-only.
+        self.nodes.setflags(write=False)
+        self.weights.setflags(write=False)
+
     def __len__(self):
         return self.nodes.shape[0]
 
 
+@cache
 def gl_rule(q: int) -> Rule1D:
-    """Gauss-Legendre rule with ``q`` points (exact through degree 2q-1)."""
+    """Gauss-Legendre rule with ``q`` points (exact through degree 2q-1),
+    memoized."""
     if q < 1:
         raise ValueError("need at least one quadrature point")
     x, w = np.polynomial.legendre.leggauss(q)
@@ -51,12 +59,13 @@ def _legendre_and_deriv(p, x):
     return P, dP
 
 
+@cache
 def gll_rule(p: int) -> Rule1D:
     """Gauss-Lobatto-Legendre rule with p+1 points (endpoints included).
 
     Interior nodes are the roots of P_p', found by Newton iteration from
     Chebyshev-Lobatto initial guesses; weights are 2 / (p (p+1) P_p(x)^2).
-    Closed forms are used for p <= 2.
+    Closed forms are used for p <= 2.  Memoized per degree.
     """
     if p < 1:
         raise ValueError("GLL rule needs polynomial degree >= 1")

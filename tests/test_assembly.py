@@ -12,10 +12,14 @@ from wavecell.assembly import (
     spatial_load,
 )
 from wavecell.basis import BasisSpec, gl_rule
-from wavecell.geometry import ElementClass, ImmersedGeometry, octree_partition
+from wavecell.geometry import (Box, ElementClass, ImmersedGeometry,
+                               octree_partition)
 from wavecell.harness import BenchmarkConfig
 from wavecell.linalg import factorize
 from wavecell.stabilization import StabilizationParams
+
+
+ORIGIN = (0, 0, 0)
 
 
 def kron3(a, b, c):
@@ -23,7 +27,7 @@ def kron3(a, b, c):
 
 
 def octree_points(geom, box, q, max_depth):
-    """Reference cut-cell rule, one octree leaf at a time.
+    """Reference cut-cell rule, every octree leaf's points listed flat.
 
     Returns reference coordinates (n, 3), weights (n,) summing to 8, and
     whether each point is inside: the leaf class for inside and outside
@@ -32,25 +36,21 @@ def octree_points(geom, box, q, max_depth):
     leaves = octree_partition(geom, box, max_depth)
     g = gl_rule(q)
     size = box.hi - box.lo
-    xi_parts, w_parts, in_parts = [], [], []
-    for i in range(len(leaves)):
-        A = 2.0 * (leaves.lo[i] - box.lo) / size - 1.0
-        B = 2.0 * (leaves.hi[i] - box.lo) / size - 1.0
-        nodes = [A[d] + (B[d] - A[d]) * (g.nodes + 1.0) / 2.0 for d in range(3)]
-        wts = [g.weights * (B[d] - A[d]) / 2.0 for d in range(3)]
-        X, Y, Z = np.meshgrid(*nodes, indexing="ij")
-        xi = np.stack([X, Y, Z], axis=-1).reshape(-1, 3)
-        w = np.einsum("i,j,k->ijk", *wts).ravel()
-        c = ElementClass(int(leaves.cls[i]))
-        if c == ElementClass.CUT:
-            inside = geom.contains(box.lo + (xi + 1.0) / 2.0 * size)
-        else:
-            inside = np.full(w.shape, c == ElementClass.INSIDE)
-        xi_parts.append(xi)
-        w_parts.append(w)
-        in_parts.append(inside)
-    return (np.concatenate(xi_parts), np.concatenate(w_parts),
-            np.concatenate(in_parts))
+    A = 2.0 * (leaves.lo - box.lo) / size - 1.0
+    B = 2.0 * (leaves.hi - box.lo) / size - 1.0
+    nodes = A[:, :, None] + (B - A)[:, :, None] * (g.nodes + 1.0) / 2.0
+    wts = g.weights * (B - A)[:, :, None] / 2.0          # (L, 3, q)
+    # leaf-major, then x, y, z points, z fastest
+    X, Y, Z = (nodes[:, 0, :, None, None], nodes[:, 1, None, :, None],
+               nodes[:, 2, None, None, :])
+    xi = np.stack(np.broadcast_arrays(X, Y, Z), axis=-1).reshape(-1, 3)
+    w = (wts[:, 0, :, None, None] * wts[:, 1, None, :, None]
+         * wts[:, 2, None, None, :]).ravel()
+    cls = np.repeat(leaves.cls, q**3)
+    inside = np.where(cls == ElementClass.CUT,
+                      geom.contains(box.lo + (xi + 1.0) / 2.0 * size),
+                      cls == ElementClass.INSIDE)
+    return xi, w, inside
 
 
 def point_tables(grid, ijk, xi):
@@ -245,6 +245,111 @@ def test_cut_element_fictitious_mass_total(small_grid, small_cache):
                       cache=small_cache)
     h3 = small_grid.h**3
     assert abs(system.M.sum() - 2.0 * small_grid.n_kept * h3) <= 1e-9 * h3
+
+
+def inside_part_by_points(grid, ijk, depth):
+    """Inside part (M, K) of cut element ``ijk`` summed point by point over
+    the flat octree rule: w N N^T and w G G^T over the inside points."""
+    xi, w, inside = octree_points(grid.geom, grid.element_box(ijk),
+                                  grid.spec.p + 1, depth)
+    N, grads = point_tables(grid, ijk, xi)
+    w_in = np.where(inside, w, 0.0)[:, None]
+    return (N * w_in).T @ N, sum((G * w_in).T @ G for G in grads)
+
+
+def one_cut_element(geom, box, family, p):
+    """Grid whose only element is the cube ``box``, classified cut."""
+    return Grid(geom=geom, spec=BasisSpec(family=family, p=p, n_e=1),
+                boundary_fitted=False, origin=box.lo,
+                h=float(box.hi[0] - box.lo[0]),
+                classes=np.full((1, 1, 1), ElementClass.CUT, dtype=np.int8),
+                kept=np.zeros((1, 3), dtype=int))
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2, 3])
+@pytest.mark.parametrize("family, p", [("lagrange", 1), ("lagrange", 2),
+                                       ("lagrange", 3), ("bspline", 2)])
+def test_cut_kernel_against_point_sum(benchmark_geometry, family, p, depth):
+    # The sum-factorized inside part of every cut element against the sum
+    # over the flat list of quadrature points.  At depth 0 every element
+    # is a single leaf still cut at maximum depth, so only pointwise leaves.
+    grid = Grid.build(benchmark_geometry,
+                      BasisSpec(family=family, p=p, n_e=4))
+    cache = ElementIntegralCache(grid, octree_depth=depth)
+    for e, ijk in enumerate(cut_elements(grid)):
+        M_ref, K_ref = inside_part_by_points(grid, ijk, depth)
+        for got, want in ((cache.M_in[e], M_ref), (cache.K_in[e], K_ref)):
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    # Only inside leaves: an inside box that is classified cut stays one
+    # inside leaf, and its inside part is the whole element.
+    geom = ImmersedGeometry.from_angles(0.3, 0.5, (0.0, 0.0, 0.0))
+    box = Box(np.full(3, 0.24), np.full(3, 0.26))
+    one = one_cut_element(geom, box, family, p)
+    assert (octree_partition(geom, box, depth).cls == ElementClass.INSIDE).all()
+    cache = ElementIntegralCache(one, octree_depth=depth)
+    M_ref, K_ref = inside_part_by_points(one, ORIGIN, depth)
+    for got, want in ((cache.M_in[0], M_ref), (cache.K_in[0], K_ref)):
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    # Pointwise leaves whose points are all outside: the box overlaps the
+    # cube (face x = 0.4) in a slab thinner than the distance from a leaf
+    # face to its first Gauss point, so the inside part is exactly zero.
+    box = Box(np.array([0.3998, 0.2, 0.2]), np.array([0.4998, 0.3, 0.3]))
+    one = one_cut_element(geom, box, family, p)
+    assert (octree_partition(geom, box, depth).cls == ElementClass.CUT).any()
+    _, _, inside = octree_points(geom, box, p + 1, depth)
+    assert not inside.any()
+    cache = ElementIntegralCache(one, octree_depth=depth)
+    assert not cache.M_in.any() and not cache.K_in.any()
+
+
+def test_cache_builds_are_bit_identical(benchmark_geometry):
+    # same grid, same bits: the benchmark compares runs bit for bit
+    grid = Grid.build(benchmark_geometry,
+                      BasisSpec(family="lagrange", p=3, n_e=4))
+    a, b = (ElementIntegralCache(grid, octree_depth=3) for _ in range(2))
+    assert a.M_in.tobytes() == b.M_in.tobytes()
+    assert a.K_in.tobytes() == b.K_in.tobytes()
+
+
+@pytest.mark.parametrize("alpha", [1e-8, 0.3, 1.0])
+def test_total_mass_is_indicator_weighted_volume(small_grid, small_cache,
+                                                 alpha):
+    # M sums to rho (V_in + alpha (V_kept - V_in)): V_in is h^3 per uncut
+    # element plus (h/2)^3 times the cache's inside parts, V_kept is h^3
+    # per kept element
+    rho, h = 1.7, small_grid.h
+    n_uncut = small_grid.n_kept - small_cache.M_in.shape[0]
+    v_in = h**3 * n_uncut + (h / 2.0) ** 3 * small_cache.M_in.sum()
+    v_kept = h**3 * small_grid.n_kept
+    system = assemble(small_grid, StabilizationParams(alpha=alpha), rho=rho,
+                      cache=small_cache)
+    mass = rho * (v_in + alpha * (v_kept - v_in))
+    assert abs(system.M.sum() - mass) <= 1e-12 * mass
+
+
+def test_spatial_load_on_cache_leaves_is_bitwise_equal(small_grid,
+                                                       small_cache):
+    # The cache's leaves and leaf tables give the load of a fresh octree
+    # partition to the bit, also for another q and inside assemble.
+    source = BenchmarkConfig(l_p=0.3).source()
+    depth = small_cache.octree_depth
+    for q in (small_cache.q, small_cache.q + 1):
+        fresh = spatial_load(small_grid, source, alpha=1e-3, rho=1.7,
+                             octree_depth=depth, q=q)
+        cached = spatial_load(small_grid, source, alpha=1e-3, rho=1.7,
+                              octree_depth=depth, q=q, cache=small_cache)
+        assert np.abs(fresh).max() > 0.0
+        assert cached.tobytes() == fresh.tobytes()
+    system = assemble(small_grid, StabilizationParams(alpha=1e-3), rho=1.7,
+                      source=source, cache=small_cache)
+    fresh = spatial_load(small_grid, source, alpha=1e-3, rho=1.7,
+                         octree_depth=depth)
+    assert system.F_s.tobytes() == fresh.tobytes()
+    with pytest.raises(ValueError, match="octree depth"):
+        spatial_load(small_grid, source, alpha=1e-3, octree_depth=depth + 1,
+                     cache=small_cache)
 
 
 def test_cd_partition_matches_support_scan(small_grid):

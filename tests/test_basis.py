@@ -69,6 +69,24 @@ def test_gl_exactness_degree(q):
         assert abs(np.dot(r.weights, r.nodes**k) - exact) < 1e-12
 
 
+@pytest.mark.parametrize("rule, n", [(gl_rule, 1), (gl_rule, 4),
+                                     (gll_rule, 1), (gll_rule, 2),
+                                     (gll_rule, 6)])
+def test_memoized_rules_are_shared_and_read_only(rule, n):
+    # every caller gets the one memoized rule, bit for bit what a fresh
+    # computation gives, and none of them can change it for the others
+    r = rule(n)
+    assert rule(n) is r
+    fresh = rule.__wrapped__(n)
+    assert r.nodes.tobytes() == fresh.nodes.tobytes()
+    assert r.weights.tobytes() == fresh.weights.tobytes()
+    for a in (r.nodes, r.weights):
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+        with pytest.raises(ValueError):
+            a += 1.0
+
+
 def test_invalid_rule_orders():
     with pytest.raises(ValueError):
         gll_rule(0)

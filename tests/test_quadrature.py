@@ -151,6 +151,25 @@ def test_indicator_volume_monotone_toward_volume_fraction():
     assert errs[-1] < 0.01
 
 
+def test_cache_inside_volume_converges_to_volume_fraction(benchmark_geometry):
+    # The exact convex-hull volume fraction is the oracle for every cut
+    # element of an n_e=6 grid: the summed error shrinks at every depth
+    # and no element ends farther than it started.  (Elements that only
+    # graze a cube corner keep every Gauss point outside to depth 3.)
+    grid = Grid.build(benchmark_geometry,
+                      BasisSpec(family="lagrange", p=1, n_e=6))
+    cut = grid.kept[grid.kept_cut]
+    exact = np.array([8.0 * grid.geom.volume_fraction(grid.element_box(ijk))
+                      for ijk in cut])
+    errs = np.array([
+        np.abs(ElementIntegralCache(grid, octree_depth=d).M_in.sum(axis=(1, 2))
+               - exact)
+        for d in (1, 2, 3)])
+    assert (np.diff(errs.sum(axis=1)) < 0.0).all()
+    assert (errs[2] <= errs[0]).all()
+    assert errs[2].max() < 0.02
+
+
 def test_cut_rule_rejects_bad_alpha():
     g = axis_aligned_geometry()
     b = Box(np.array([0.35, 0.2, 0.2]), np.array([0.45, 0.3, 0.3]))
