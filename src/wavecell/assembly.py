@@ -54,16 +54,12 @@ def ricker(t, f_e):
 
 @dataclass(frozen=True)
 class SourceSpec:
-    """Spatial Gaussian source, defined in local (cube-centered) coordinates."""
+    """Spatial Gaussian source exp(-d^2 / 2 sigma^2), d the distance to its
+    center ``x_local`` in local (cube-centered) coordinates.  Integrated by
+    :func:`spatial_load`."""
 
     x_local: tuple
     sigma: float
-
-    def evaluate(self, x_local):
-        """exp(-d^2 / 2) with d the distance to the center in units of sigma."""
-        x_local = np.asarray(x_local, dtype=float)
-        d2 = np.sum((x_local - np.asarray(self.x_local)) ** 2, axis=-1)
-        return np.exp(-0.5 * d2 / self.sigma**2)
 
 
 @dataclass
@@ -122,12 +118,6 @@ class Grid:
     def element_box(self, ijk) -> Box:
         lo = self.origin + np.asarray(ijk, dtype=float) * self.h
         return Box(lo, lo + self.h)
-
-    def to_local(self, x_global):
-        """Physical-frame coordinates of grid-frame points."""
-        if self.boundary_fitted:
-            return np.asarray(x_global, dtype=float)
-        return self.geom.to_local(x_global)
 
     def point_alpha_mask(self, x_grid):
         """Whether grid-frame points lie in the physical domain."""
@@ -259,8 +249,7 @@ class _LeafRules:
         stiffness ``(V, D, m1, k1)`` on element ``e``."""
         key = int(_signature(self.grid.spec, e))
         if key not in self._tables:
-            V, D = (A.reshape(self.w.shape + (-1,)) for A in
-                    self.grid.spec.eval_element(e, self.xi.ravel()))
+            V, D = self.grid.spec.eval_element(e, self.xi)
             m1, k1 = (np.einsum("lqa,lq,lqb->lab", A, self.w, A)
                       for A in (V, D))
             self._tables[key] = (V, D, m1, k1)
@@ -697,7 +686,9 @@ def spatial_load(grid: Grid, source: SourceSpec, alpha: float,
                                                        octree_depth))
         pts = rules.points(ijk, box, ids)
         a_fcm = np.where(grid.point_alpha_mask(pts.x), 1.0, alpha)
-        f = source.evaluate(grid.to_local(pts.x))
+        # Rotation keeps distances, so d is measured in the grid frame.
+        d2 = np.sum((pts.x - src_grid) ** 2, axis=-1)
+        f = np.exp(-0.5 * d2 / source.sigma**2)
         weights = rho * (grid.h / 2.0) ** 3 * pts.w * a_fcm * f
         F_el = np.einsum("lqrs,lqa,lrb,lsc->abc", weights, *pts.V,
                          optimize=True).ravel()

@@ -95,36 +95,30 @@ def lagrange_eval(nodes, x):
     ----------
     nodes : array_like, shape (n,)
         Distinct interpolation nodes.
-    x : array_like, shape (m,)
+    x : array_like, any shape
         Evaluation points.
 
     Returns
     -------
-    V, D : ndarray, shape (m, n)
-        ``V[i, j] = L_j(x_i)`` and ``D[i, j] = L_j'(x_i)``.
+    V, D : ndarray, shape ``x.shape + (n,)``
+        ``V[..., j] = L_j(x)`` and ``D[..., j] = L_j'(x)``.
     """
     nodes = np.asarray(nodes, dtype=float)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
     n = nodes.shape[0]
-    diff = x[:, None] - nodes[None, :]          # (m, n)
+    diff = np.asarray(x, dtype=float)[..., None] - nodes     # (..., n)
     denom = nodes[:, None] - nodes[None, :]
     np.fill_diagonal(denom, 1.0)
     scale = np.prod(denom, axis=1)              # prod_{m != j} (x_j - x_m)
-    V = np.empty((x.shape[0], n))
-    D = np.zeros((x.shape[0], n))
-    for j in range(n):
-        others = [m for m in range(n) if m != j]
-        num = np.ones_like(x)
-        for m in others:
-            num = num * diff[:, m]
-        V[:, j] = num / scale[j]
-        for k in others:
-            term = np.ones_like(x)
-            for m in others:
-                if m != k:
-                    term = term * diff[:, m]
-            D[:, j] += term
-        D[:, j] /= scale[j]
+    # Masked factors are exactly 1 (and masked terms exactly 0), so every
+    # product and sum runs over the same factors in the same order as the
+    # textbook loop over m != j and k != j.
+    off = ~np.eye(n, dtype=bool)                # off[j, m]: m != j
+    V = np.prod(np.where(off, diff[..., None, :], 1.0), axis=-1) / scale
+    # terms[..., k, j] = prod_{m not in {j, k}} (x - x_m); summing over
+    # the outer axis k keeps the sum sequential (no pairwise blocking).
+    terms = np.prod(np.where(off[:, None, :] & off[None, :, :],
+                             diff[..., None, None, :], 1.0), axis=-1)
+    D = np.sum(np.where(off, terms, 0.0), axis=-2) / scale
     return V, D
 
 
@@ -142,59 +136,46 @@ def open_uniform_knots(n_e: int, p: int, a: float = 0.0, b: float = 1.0) -> np.n
     return np.concatenate((np.full(p + 1, a), interior, np.full(p + 1, b)))
 
 
-def find_span(knots, p, x):
-    """Index of the knot span containing x (clamped to valid spans)."""
-    n = knots.shape[0] - p - 1          # number of basis functions
-    x = np.asarray(x, dtype=float)
-    span = np.searchsorted(knots, x, side="right") - 1
-    return np.clip(span, p, n - 1)
-
-
-def bspline_eval(knots, p, x):
-    """Nonzero B-spline basis values and derivatives at points ``x``.
+def bspline_eval(knots, p, span, x):
+    """B-spline basis values and derivatives on known knot spans.
 
     Uses the Cox-de Boor recursion on the ``p+1`` functions supported on
-    each point's knot span.
+    knot span ``span`` (``knots[span] <= x <= knots[span + 1]``).  ``span``
+    and ``x`` broadcast against each other; each point is evaluated as the
+    polynomial of its span, so the end points of a span give that span's
+    one-sided limits.
 
     Returns
     -------
-    span : ndarray, shape (m,)
-        Knot span index per point; the nonzero functions are
-        ``span - p, ..., span``.
-    V, D : ndarray, shape (m, p+1)
-        Values and first derivatives of those functions.
+    V, D : ndarray, shape ``broadcast(span, x).shape + (p+1,)``
+        Values and first derivatives of the functions ``span - p, ...,
+        span``.
     """
     knots = np.asarray(knots, dtype=float)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    span = find_span(knots, p, x)
-    m = x.shape[0]
-    N = np.zeros((m, p + 1))
-    N[:, 0] = 1.0
-    left = np.empty((m, p + 1))
-    right = np.empty((m, p + 1))
+    span, x = np.broadcast_arrays(np.asarray(span), np.asarray(x, dtype=float))
+    N = np.zeros(x.shape + (p + 1,))
+    N[..., 0] = 1.0
+    D = np.zeros(x.shape + (p + 1,))
+    left = np.empty(x.shape + (p + 1,))
+    right = np.empty(x.shape + (p + 1,))
     for j in range(1, p + 1):
-        left[:, j] = x - knots[span + 1 - j]
-        right[:, j] = knots[span + j] - x
-        saved = np.zeros(m)
+        if j == p:
+            # N[..., :p] holds the degree p-1 basis here; each derivative
+            # is a difference of two of its functions (de Boor).
+            s = span[..., None] + np.arange(1, p + 1)
+            term = p * N[..., :p] / (knots[s] - knots[s - p])
+            D[..., 1:] += term
+            D[..., :-1] -= term
+        left[..., j] = x - knots[span + 1 - j]
+        right[..., j] = knots[span + j] - x
+        saved = np.zeros(x.shape)
         for r in range(j):
-            denom = right[:, r + 1] + left[:, j - r]
-            temp = N[:, r] / denom
-            N[:, r] = saved + right[:, r + 1] * temp
-            saved = left[:, j - r] * temp
-        N[:, j] = saved
-        if j == p - 1:
-            N_low = N[:, :p].copy()     # degree p-1 basis, for derivatives
-    if p == 1:
-        N_low = np.ones((m, 1))
-    D = np.zeros((m, p + 1))
-    for r in range(p + 1):
-        if r > 0:
-            denom = knots[span + r] - knots[span + r - p]
-            D[:, r] += np.where(denom > 0, p * N_low[:, r - 1] / np.where(denom > 0, denom, 1.0), 0.0)
-        if r < p:
-            denom = knots[span + r + 1] - knots[span + r + 1 - p]
-            D[:, r] -= np.where(denom > 0, p * N_low[:, r] / np.where(denom > 0, denom, 1.0), 0.0)
-    return span, N, D
+            denom = right[..., r + 1] + left[..., j - r]
+            temp = N[..., r] / denom
+            N[..., r] = saved + right[..., r + 1] * temp
+            saved = left[..., j - r] * temp
+        N[..., j] = saved
+    return N, D
 
 
 @dataclass(frozen=True)
@@ -230,22 +211,24 @@ class BasisSpec:
         stride = self.p if self.family == "lagrange" else 1
         return np.asarray(e)[..., None] * stride + np.arange(self.p + 1)
 
-    def eval_element(self, e: int, xi):
-        """Basis values/derivatives on element ``e`` at reference coords xi.
+    def eval_element(self, e, xi):
+        """Basis values/derivatives on element(s) ``e`` at reference coords xi.
 
-        ``xi`` lives on [-1, 1]; derivatives are with respect to xi.
-        B-splines live on the open uniform knot vector over [0, 1].
+        ``e`` and ``xi`` broadcast against each other; both results have
+        shape ``broadcast(e, xi).shape + (p+1,)``.  ``xi`` lives on
+        [-1, 1]; derivatives are with respect to xi.  B-splines live on the
+        open uniform knot vector over [0, 1]; xi = -1 and +1 give the
+        element's own polynomial, never a neighbor's.
         """
-        xi = np.atleast_1d(np.asarray(xi, dtype=float))
+        e = np.asarray(e)
+        xi = np.asarray(xi, dtype=float)
         if self.family == "lagrange":
-            return lagrange_eval(gll_rule(self.p).nodes, xi)
+            shape = np.broadcast_shapes(e.shape, xi.shape)
+            return lagrange_eval(gll_rule(self.p).nodes,
+                                 np.broadcast_to(xi, shape))
         knots = open_uniform_knots(self.n_e, self.p)
         a = knots[self.p + e]
         b = knots[self.p + e + 1]
         x = a + (b - a) * (xi + 1.0) / 2.0
-        # Clamp to the span so points at +-1 do not bleed into a neighbor.
-        x = np.clip(x, a, np.nextafter(b, a))
-        span, V, D = bspline_eval(knots, self.p, x)
-        if not np.all(span == self.p + e):
-            raise RuntimeError("evaluation points left the requested span")
-        return V, D * (b - a) / 2.0
+        V, D = bspline_eval(knots, self.p, self.p + e, x)
+        return V, D * (b - a)[..., None] / 2.0

@@ -82,29 +82,25 @@ def observer_matrix(grid: Grid) -> sp.csr_matrix:
     if not grid.boundary_fitted:
         pts = geom.to_global(pts)
     n_e, h, origin = grid.spec.n_e, grid.h, grid.origin
+    idx = np.clip(np.floor((pts - origin) / h).astype(int), 0, n_e - 1)
     kept_lo = origin + grid.kept * h
-    rows, cols, vals = [], [], []
-    for i, x in enumerate(pts):
-        idx = np.clip(np.floor((x - origin) / h).astype(int), 0, n_e - 1)
-        if grid.classes[tuple(idx)] == ElementClass.OUTSIDE:
-            d = np.linalg.norm(np.clip(x, kept_lo, kept_lo + h) - x, axis=1)
-            j = int(np.argmin(d))
-            if d[j] > 0.05 * h:
-                raise ValueError(
-                    f"observer {OBSERVER_LABELS[i]} is {d[j]:.3e} away from "
-                    "the nearest kept element")
-            idx = grid.kept[j]
-        lo = origin + idx * h
-        xi = np.clip(2.0 * (x - lo) / h - 1.0, -1.0, 1.0)
-        V = [grid.spec.eval_element(int(idx[d]), xi[d])[0][0]
-             for d in range(3)]
-        w = (V[0][:, None, None] * V[1][None, :, None]
-             * V[2][None, None, :]).ravel()
-        dofs = grid.element_dofs(idx)
-        rows.extend([i] * dofs.shape[0])
-        cols.extend(dofs.tolist())
-        vals.extend(w.tolist())
-    return sp.csr_matrix((vals, (rows, cols)),
+    for i in np.flatnonzero(grid.classes[tuple(idx.T)] == ElementClass.OUTSIDE):
+        d = np.linalg.norm(np.clip(pts[i], kept_lo, kept_lo + h) - pts[i],
+                           axis=1)
+        j = int(np.argmin(d))
+        if d[j] > 0.05 * h:
+            raise ValueError(
+                f"observer {OBSERVER_LABELS[i]} is {d[j]:.3e} away from "
+                "the nearest kept element")
+        idx[i] = grid.kept[j]
+    xi = np.clip(2.0 * (pts - (origin + idx * h)) / h - 1.0, -1.0, 1.0)
+    V, _ = grid.spec.eval_element(idx, xi)             # (n_obs, 3, p+1)
+    w = (V[:, 0, :, None, None] * V[:, 1, None, :, None]
+         * V[:, 2, None, None, :]).reshape(pts.shape[0], -1)
+    # One element's DOFs are distinct and ascending, so each row is
+    # already in canonical CSR order.
+    indptr = np.arange(pts.shape[0] + 1) * w.shape[1]
+    return sp.csr_matrix((w.ravel(), grid.element_dofs(idx).ravel(), indptr),
                          shape=(pts.shape[0], grid.dofmap.n_dof))
 
 

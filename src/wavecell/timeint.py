@@ -16,9 +16,10 @@ Three schemes:
 How a matrix is structured and solved (diagonal rows by division, the
 coupled rest by one sparse factor) is left to :func:`linalg.factorize`.
 
-All runs share the force model F(t) = f_t(t) * F_s, record observer
-samples at every step when an observer matrix is given, and abort with
-``DivergenceError`` when the solution leaves a generous amplitude bound.
+All runs start from rest (psi = v = 0), share the force model
+F(t) = f_t(t) * F_s, record observer samples at every step when an
+observer matrix is given, and abort with ``DivergenceError`` when the
+solution leaves a generous amplitude bound.
 Wall-clock time is accumulated separately for factorization, right hand
 side evaluation, and solve/update work.
 """
@@ -94,7 +95,7 @@ def _check(psi, step):
 
 
 class _Recorder:
-    def __init__(self, obs_mat, n_dof, n_t, dt):
+    def __init__(self, obs_mat, n_t, dt):
         self.obs_mat = obs_mat
         self.t = np.arange(n_t + 1) * dt
         self.obs = (np.empty((obs_mat.shape[0], n_t + 1))
@@ -107,7 +108,7 @@ class _Recorder:
 
 def newmark_run(M, K, F_s, f_t, dt: float, n_t: int, obs_mat=None,
                 beta: float = 0.25, gamma: float = 0.5,
-                psi0=None, v0=None, s_factory=None) -> RunResult:
+                s_factory=None) -> RunResult:
     """Newmark-beta scheme; beta = 0 recovers the central difference method.
 
     ``s_factory``, when given, is a zero-argument callable returning a
@@ -116,10 +117,10 @@ def newmark_run(M, K, F_s, f_t, dt: float, n_t: int, obs_mat=None,
     and K then only needs to support matrix-vector products.
     """
     n = M.shape[0]
-    psi = np.zeros(n) if psi0 is None else np.array(psi0, dtype=float)
-    v = np.zeros(n) if v0 is None else np.array(v0, dtype=float)
+    psi = np.zeros(n)
+    v = np.zeros(n)
     timings = StageTimings()
-    rec = _Recorder(obs_mat, n, n_t, dt)
+    rec = _Recorder(obs_mat, n_t, dt)
 
     t0 = time.perf_counter()
     S_fact = (s_factory() if s_factory is not None
@@ -127,7 +128,7 @@ def newmark_run(M, K, F_s, f_t, dt: float, n_t: int, obs_mat=None,
     M_fact = factorize(M)
     timings.factorization += time.perf_counter() - t0
 
-    a = M_fact.solve(f_t(0.0) * F_s - K @ psi)
+    a = M_fact.solve(f_t(0.0) * F_s)
     rec.record(0, psi)
 
     for k in range(n_t):
@@ -149,14 +150,11 @@ def newmark_run(M, K, F_s, f_t, dt: float, n_t: int, obs_mat=None,
                      fact_dim=getattr(S_fact, "n", n))
 
 
-def cdm_run(M, K, F_s, f_t, dt: float, n_t: int, obs_mat=None,
-            psi0=None, v0=None) -> RunResult:
+def cdm_run(M, K, F_s, f_t, dt: float, n_t: int, obs_mat=None) -> RunResult:
     """Central difference method in two-step displacement form."""
-    n = M.shape[0]
-    psi = np.zeros(n) if psi0 is None else np.array(psi0, dtype=float)
-    v = np.zeros(n) if v0 is None else np.array(v0, dtype=float)
+    psi = np.zeros(M.shape[0])
     timings = StageTimings()
-    rec = _Recorder(obs_mat, n, n_t, dt)
+    rec = _Recorder(obs_mat, n_t, dt)
 
     t0 = time.perf_counter()
     M_fact = factorize(M)
@@ -166,8 +164,7 @@ def cdm_run(M, K, F_s, f_t, dt: float, n_t: int, obs_mat=None,
     if fact_dim:
         timings.factorization += time.perf_counter() - t0
 
-    a = M_fact.solve(f_t(0.0) * F_s - K @ psi)
-    psi_prev = psi - dt * v + (0.5 * dt * dt) * a
+    psi_prev = (0.5 * dt * dt) * M_fact.solve(f_t(0.0) * F_s)
     rec.record(0, psi)
 
     for k in range(n_t):
@@ -188,8 +185,7 @@ def cdm_run(M, K, F_s, f_t, dt: float, n_t: int, obs_mat=None,
 
 
 def imex_run(M, K, F_s, f_t, dt: float, n_t: int, c_idx, d_idx,
-             obs_mat=None, beta: float = 0.25, gamma: float = 0.5,
-             psi0=None, v0=None) -> RunResult:
+             obs_mat=None, beta: float = 0.25, gamma: float = 0.5) -> RunResult:
     """Implicit-explicit split integration.
 
     The d-part steps with the central difference method using the full
@@ -204,10 +200,9 @@ def imex_run(M, K, F_s, f_t, dt: float, n_t: int, c_idx, d_idx,
     d_idx = np.asarray(d_idx, dtype=np.int64)
     if c_idx.shape[0] + d_idx.shape[0] != n:
         raise ValueError("c and d index sets must partition the DOFs")
-    psi = np.zeros(n) if psi0 is None else np.array(psi0, dtype=float)
-    v = np.zeros(n) if v0 is None else np.array(v0, dtype=float)
+    psi = np.zeros(n)
     timings = StageTimings()
-    rec = _Recorder(obs_mat, n, n_t, dt)
+    rec = _Recorder(obs_mat, n_t, dt)
     M = M.tocsr()
     K = K.tocsr()
 
@@ -223,11 +218,11 @@ def imex_run(M, K, F_s, f_t, dt: float, n_t: int, c_idx, d_idx,
     K_d = K[d_idx]
     timings.factorization += time.perf_counter() - t0
 
-    a = M_fact.solve(f_t(0.0) * F_s - K @ psi)
+    a = M_fact.solve(f_t(0.0) * F_s)
     a_c = a[c_idx]
-    psi_prev_d = psi[d_idx] - dt * v[d_idx] + (0.5 * dt * dt) * a[d_idx]
-    psi_c = psi[c_idx].copy()
-    v_c = v[c_idx].copy()
+    psi_prev_d = (0.5 * dt * dt) * a[d_idx]
+    psi_c = np.zeros(c_idx.shape[0])
+    v_c = np.zeros(c_idx.shape[0])
     rec.record(0, psi)
 
     for k in range(n_t):

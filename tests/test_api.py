@@ -3,9 +3,13 @@
 import ast
 from pathlib import Path
 
+import pytest
+
 import wavecell
 
 SRC = Path(wavecell.__file__).resolve().parent
+MODULES = {path.stem: ast.parse(path.read_text())
+           for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
 
 
 def references_outside_definition(tree, name):
@@ -21,10 +25,20 @@ def references_outside_definition(tree, name):
                     or (isinstance(node, ast.Attribute) and node.attr == name)))
 
 
+def unused(names):
+    return [name for name in names
+            if not any(references_outside_definition(tree, name)
+                       for tree in MODULES.values())]
+
+
 def test_every_public_name_is_used_in_src():
-    trees = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))
-             if path.name != "__init__.py"]
-    unused = [name for name in wavecell.__all__
-              if not any(references_outside_definition(tree, name)
-                         for tree in trees)]
-    assert unused == []
+    assert unused(wavecell.__all__) == []
+
+
+@pytest.mark.parametrize("module", sorted(MODULES))
+def test_every_public_definition_is_used_in_src(module):
+    # Top-level functions and classes outside __all__ count too.
+    public = [node.name for node in MODULES[module].body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_")]
+    assert unused(public) == []

@@ -64,6 +64,14 @@ def point_tables(grid, ijk, xi):
     return N, grads
 
 
+def gaussian(source, x_local):
+    """The source profile exp(-d^2 / 2 sigma^2), with d the distance to its
+    center in local coordinates."""
+    d2 = np.sum((np.asarray(x_local) - np.asarray(source.x_local)) ** 2,
+                axis=-1)
+    return np.exp(-0.5 * d2 / source.sigma**2)
+
+
 def cut_elements(grid):
     """Cut elements in ``grid.kept`` order, the order of the cache stacks."""
     return [tuple(int(v) for v in ijk) for ijk in grid.kept
@@ -203,7 +211,7 @@ def test_cut_element_against_flat_quadrature_loop(small_grid, small_cache):
         near_cut += int(grid.classes[tuple(ijk)] == ElementClass.CUT)
         xi, w, inside = octree_points(grid.geom, box, q, small_cache.octree_depth)
         x = box.lo + (xi + 1.0) / 2.0 * (box.hi - box.lo)
-        f = source.evaluate(grid.geom.to_local(x))
+        f = gaussian(source, grid.geom.to_local(x))
         N, _ = point_tables(grid, ijk, xi)
         weights = rho * (grid.h / 2.0) ** 3 * w * np.where(inside, 1.0, alpha) * f
         np.add.at(F_ref, grid.element_dofs(ijk), N.T @ weights)
@@ -506,12 +514,17 @@ def test_ricker_wavelet_values():
     assert out.shape == (3,)
 
 
-def test_source_spec_evaluate():
-    src = SourceSpec(x_local=(0.0, 0.0, 0.0), sigma=2.0)
-    assert src.evaluate((0.0, 0.0, 0.0)) == pytest.approx(1.0)
-    assert src.evaluate((2.0, 0.0, 0.0)) == pytest.approx(np.exp(-0.5))
-    vals = src.evaluate(np.array([[0.0, 0.0, 0.0], [0.0, 2.0, 0.0]]))
-    assert vals == pytest.approx([1.0, np.exp(-0.5)])
+def test_spatial_load_gaussian_values():
+    # One trilinear element centered on the local origin, integrated with
+    # its center point only: each of the 8 nodes gets rho h^3 / 8 times
+    # the Gaussian at the center.
+    grid = bf_grid("lagrange", 1, 1)
+    for x_src in ((0.0, 0.0, 0.0), (2.0, 0.0, 0.0), (0.0, 2.0, 0.0)):
+        source = SourceSpec(x_local=x_src, sigma=2.0)
+        F = spatial_load(grid, source, alpha=1.0, rho=1.7, q=1)
+        want = 1.7 * grid.h**3 / 8.0 * gaussian(source, np.zeros(3))
+        assert F == pytest.approx(np.full(8, want), rel=1e-14)
+    assert gaussian(source, np.zeros(3)) == pytest.approx(np.exp(-0.5))
 
 
 def test_benchmark_source_placement():

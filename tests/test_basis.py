@@ -3,8 +3,8 @@ import pytest
 from numpy.polynomial import legendre
 from scipy.special import comb
 
-from wavecell.basis import (BasisSpec, bspline_eval, find_span, gl_rule,
-                            gll_rule, lagrange_eval, open_uniform_knots)
+from wavecell.basis import (BasisSpec, bspline_eval, gl_rule, gll_rule,
+                            lagrange_eval, open_uniform_knots)
 
 
 def test_gll_p1_is_trapezoid():
@@ -96,31 +96,27 @@ def test_invalid_rule_orders():
 
 def test_lagrange_interpolation_property():
     nodes = gll_rule(4).nodes
-    for j, xj in enumerate(nodes):
-        vals, _ = lagrange_eval(nodes, xj)
-        e = np.zeros(len(nodes))
-        e[j] = 1.0
-        assert np.allclose(vals, e, atol=1e-12)
+    vals, _ = lagrange_eval(nodes, nodes)
+    assert np.allclose(vals, np.eye(len(nodes)), atol=1e-12)
 
 
 def test_lagrange_partition_and_derivative_sums():
     nodes = gll_rule(3).nodes
-    for x in np.linspace(-1.0, 1.0, 17):
-        vals, ders = lagrange_eval(nodes, x)
-        assert abs(vals.sum() - 1.0) < 1e-12
-        assert abs(ders.sum()) < 1e-12
+    vals, ders = lagrange_eval(nodes, np.linspace(-1.0, 1.0, 17))
+    assert np.abs(vals.sum(axis=-1) - 1.0).max() < 1e-12
+    assert np.abs(ders.sum(axis=-1)).max() < 1e-12
 
 
 def test_lagrange_derivative_against_finite_differences():
     nodes = gll_rule(5).nodes
     h = 1e-6
     rng = np.random.default_rng(4)
-    for x in rng.uniform(-0.999, 0.999, size=20):
-        _, ders = lagrange_eval(nodes, x)
-        vp, _ = lagrange_eval(nodes, x + h)
-        vm, _ = lagrange_eval(nodes, x - h)
-        fd = (vp - vm) / (2.0 * h)
-        assert np.max(np.abs(ders - fd)) < 1e-6
+    x = rng.uniform(-0.999, 0.999, size=20)
+    _, ders = lagrange_eval(nodes, x)
+    vp, _ = lagrange_eval(nodes, x + h)
+    vm, _ = lagrange_eval(nodes, x - h)
+    fd = (vp - vm) / (2.0 * h)
+    assert np.max(np.abs(ders - fd)) < 1e-6
 
 
 def test_open_uniform_knots_examples():
@@ -139,18 +135,23 @@ def test_open_uniform_knots_examples():
                            (kn[-1] - kn[0]) / n_e)
 
 
+def uniform_spans(x, n_e, p):
+    """Knot span of each point of [0, 1] on the open uniform knot vector."""
+    return p + np.minimum(np.floor(x * n_e).astype(int), n_e - 1)
+
+
 def test_bspline_bernstein_case():
     kn = open_uniform_knots(1, 2, 0.0, 1.0)
-    _, vals, _ = bspline_eval(kn, 2, 0.5)
+    vals, _ = bspline_eval(kn, 2, 2, 0.5)
     assert np.allclose(vals, [0.25, 0.5, 0.25], atol=1e-14)
 
 
 def test_bspline_degree_zero_is_span_indicator():
     kn = np.array([0.0, 0.5, 1.0])
-    span, vals, ders = bspline_eval(kn, 0, 0.3)
-    assert vals.shape == (1,) or vals.size == 1
-    assert np.allclose(np.ravel(vals), [1.0])
-    assert np.allclose(np.ravel(ders), [0.0])
+    vals, ders = bspline_eval(kn, 0, 0, 0.3)
+    assert vals.shape == (1,)
+    assert np.allclose(vals, [1.0])
+    assert np.allclose(ders, [0.0])
 
 
 @pytest.mark.parametrize("family", ["lagrange", "bspline"])
@@ -159,18 +160,14 @@ def test_partition_of_unity_random_points(family, p):
     rng = np.random.default_rng(10 * p + (family == "bspline"))
     xs = rng.uniform(0.0, 1.0, size=1000)
     if family == "lagrange":
-        nodes = gll_rule(p).nodes
-        for x in xs:
-            vals, ders = lagrange_eval(nodes, 2.0 * x - 1.0)
-            assert abs(vals.sum() - 1.0) < 1e-10
-            assert abs(ders.sum()) < 1e-10
+        vals, ders = lagrange_eval(gll_rule(p).nodes, 2.0 * xs - 1.0)
     else:
         kn = open_uniform_knots(4, p, 0.0, 1.0)
-        for x in xs:
-            _, vals, ders = bspline_eval(kn, p, x)
-            assert (vals >= -1e-14).all()
-            assert abs(vals.sum() - 1.0) < 1e-10
-            assert abs(ders.sum()) < 1e-10
+        vals, ders = bspline_eval(kn, p, uniform_spans(xs, 4, p), xs)
+        assert (vals >= -1e-14).all()
+    assert vals.shape == ders.shape == (1000, p + 1)
+    assert np.abs(vals.sum(axis=-1) - 1.0).max() < 1e-10
+    assert np.abs(ders.sum(axis=-1)).max() < 1e-10
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4])
@@ -187,24 +184,55 @@ def test_bspline_reproduces_polynomials(p):
             e[1:] = e[1:] + v * e[:-1]
         return e[k]
 
+    x = np.linspace(0.0, 1.0, 23)
+    span = uniform_spans(x, n_e, p)
+    vals, _ = bspline_eval(kn, p, span, x)
+    funcs = span[:, None] - p + np.arange(p + 1)
     for k in range(p + 1):
         coeffs = np.array([
             elementary_symmetric(kn[i + 1:i + p + 1], k) / comb(p, k)
             for i in range(n_funcs)
         ])
-        for x in np.linspace(0.0, 1.0, 23):
-            span, vals, _ = bspline_eval(kn, p, x)
-            first = int(span[0]) - p
-            s = np.dot(coeffs[first:first + p + 1], vals[0])
-            assert abs(s - x**k) < 1e-10
+        s = np.sum(coeffs[funcs] * vals, axis=-1)
+        assert np.abs(s - x**k).max() < 1e-10
 
 
-def test_find_span_boundaries():
-    kn = open_uniform_knots(4, 2, 0.0, 1.0)
-    n_funcs = kn.shape[0] - 2 - 1
-    assert find_span(kn, 2, 0.0) == 2
-    # right end maps into the last nonempty span
-    assert find_span(kn, 2, 1.0) == n_funcs - 1
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+@pytest.mark.parametrize("n_e", [2, 4, 8])
+def test_bspline_element_interfaces_match(p, n_e):
+    # Element e ends (xi = +1) where element e+1 starts (xi = -1): the
+    # functions they share agree there, and the one each does not share
+    # vanishes.  C^(p-1) continuity makes first derivatives agree too.
+    spec = BasisSpec(family="bspline", p=p, n_e=n_e)
+    e = np.arange(n_e - 1)
+    V_end, D_end = spec.eval_element(e, 1.0)
+    V_start, D_start = spec.eval_element(e + 1, -1.0)
+    assert np.abs(V_end[:, 1:] - V_start[:, :-1]).max() < 1e-14
+    assert np.abs(V_end[:, 0]).max() < 1e-14
+    assert np.abs(V_start[:, -1]).max() < 1e-14
+    # Each element measures xi-derivatives on its own (equal) length.
+    if p >= 2:
+        scale = np.abs(D_end).max()
+        assert np.abs(D_end[:, 1:] - D_start[:, :-1]).max() < 1e-13 * scale
+
+
+@pytest.mark.parametrize("family", ["lagrange", "bspline"])
+def test_eval_element_broadcasts(family):
+    spec = BasisSpec(family=family, p=3, n_e=5)
+    rng = np.random.default_rng(3)
+    e = rng.integers(0, spec.n_e, size=(11, 3))
+    xi = rng.uniform(-1.0, 1.0, size=(11, 3))
+    xi[0] = (-1.0, 0.0, 1.0)
+    V, D = spec.eval_element(e, xi)
+    assert V.shape == D.shape == (11, 3, spec.p + 1)
+    for i in range(11):
+        for d in range(3):
+            v, dv = spec.eval_element(int(e[i, d]), xi[i, d])
+            assert v.shape == (spec.p + 1,)
+            assert np.array_equal(V[i, d], v) and np.array_equal(D[i, d], dv)
+    # one element against many points, and many elements against one point
+    assert spec.eval_element(2, xi)[0].shape == (11, 3, spec.p + 1)
+    assert spec.eval_element(e, 0.5)[0].shape == (11, 3, spec.p + 1)
 
 
 def test_basis_spec_counts():

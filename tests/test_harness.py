@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse as sp
 
 from wavecell.assembly import Grid
-from wavecell.basis import BasisSpec, gll_rule
+from wavecell.basis import BasisSpec, gll_rule, open_uniform_knots
 from wavecell.geometry import ElementClass, ImmersedGeometry
 from wavecell.harness import (
     EIG_TOL,
@@ -193,6 +193,73 @@ def test_observer_matrix_linear_field_immersed(small_grid):
     want = u(pts_global[:, 0], pts_global[:, 1], pts_global[:, 2])
     got = observer_matrix(small_grid) @ psi
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def greville_1d(grid):
+    """Grid-frame Greville abscissae of the B-spline functions of one
+    direction: as coefficients they reproduce the coordinate x."""
+    p = grid.spec.p
+    kn = open_uniform_knots(grid.spec.n_e, p)
+    g = np.array([kn[i + 1:i + p + 1].mean()
+                  for i in range(grid.spec.n_funcs_1d)])
+    return grid.origin[0] + g * grid.spec.n_e * grid.h
+
+
+def test_observer_matrix_linear_field_immersed_bspline(benchmark_geometry):
+    grid = Grid.build(benchmark_geometry,
+                      BasisSpec(family="bspline", p=2, n_e=8))
+    xs = greville_1d(grid)
+    u = lambda x, y, z: 0.3 * x + 2.0 * y - z + 0.7
+    psi_lex = u(xs[:, None, None], xs[None, :, None],
+                xs[None, None, :]).ravel()
+    psi = psi_lex[grid.dofmap.lex_of_compact]
+    pts_global = grid.geom.to_global(build_observers(0.3))
+    want = u(pts_global[:, 0], pts_global[:, 1], pts_global[:, 2])
+    got = observer_matrix(grid) @ psi
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def observer_matrix_loop(grid):
+    """Reference observer matrix: one observer and one direction at a
+    time, assembled through COO."""
+    geom = grid.geom
+    pts = build_observers(geom.l_p)
+    if not grid.boundary_fitted:
+        pts = geom.to_global(pts)
+    n_e, h, origin = grid.spec.n_e, grid.h, grid.origin
+    kept_lo = origin + grid.kept * h
+    rows, cols, vals = [], [], []
+    for i, x in enumerate(pts):
+        idx = np.clip(np.floor((x - origin) / h).astype(int), 0, n_e - 1)
+        if grid.classes[tuple(idx)] == ElementClass.OUTSIDE:
+            d = np.linalg.norm(np.clip(x, kept_lo, kept_lo + h) - x, axis=1)
+            idx = grid.kept[int(np.argmin(d))]
+        lo = origin + idx * h
+        xi = np.clip(2.0 * (x - lo) / h - 1.0, -1.0, 1.0)
+        V = [grid.spec.eval_element(int(idx[d]), xi[d])[0] for d in range(3)]
+        w = (V[0][:, None, None] * V[1][None, :, None]
+             * V[2][None, None, :]).ravel()
+        dofs = grid.element_dofs(idx)
+        rows.extend([i] * dofs.shape[0])
+        cols.extend(dofs.tolist())
+        vals.extend(w.tolist())
+    return sp.csr_matrix((vals, (rows, cols)),
+                         shape=(pts.shape[0], grid.dofmap.n_dof))
+
+
+@pytest.mark.parametrize("family, p, n_e, boundary_fitted",
+                         [("lagrange", 3, 13, False),
+                          ("lagrange", 6, 6, True),
+                          ("bspline", 2, 8, False)])
+def test_observer_matrix_equals_pointwise_loop(benchmark_geometry, family,
+                                               p, n_e, boundary_fitted):
+    grid = Grid.build(benchmark_geometry, BasisSpec(family, p, n_e),
+                      boundary_fitted=boundary_fitted)
+    got, want = observer_matrix(grid), observer_matrix_loop(grid)
+    assert got.shape == want.shape
+    assert got.data.tobytes() == want.data.tobytes()
+    assert np.array_equal(got.indices, want.indices)
+    assert np.array_equal(got.indptr, want.indptr)
 
 
 def doctored_grid(base, discard):

@@ -35,6 +35,18 @@ def zero_f(t):
     return 0.0
 
 
+def step_f(t):
+    return 1.0
+
+
+def step_load_system(omega):
+    """Unit-mass oscillator under the step load omega^2: from rest,
+    psi(t) = 1 - cos(omega t), a free vibration of amplitude 1 about the
+    static deflection 1."""
+    M, K, _, obs = scalar_system(omega)
+    return M, K, np.array([omega * omega]), obs
+
+
 def test_all_integrators_conserve_zero():
     M, K = bar_system()
     F = np.zeros(4)
@@ -54,34 +66,34 @@ def test_all_integrators_conserve_zero():
 
 def test_newmark_unconditionally_stable_far_beyond_cfl():
     omega = 100.0
-    M, K, F, obs = scalar_system(omega)
+    M, K, F, obs = step_load_system(omega)
     dt = 10.0 / omega  # fifty times the explicit limit
-    r = newmark_run(M, K, F, zero_f, dt, 1000, obs_mat=obs, psi0=[1.0])
-    assert np.abs(r.obs).max() <= 1.0 + 1e-9
+    r = newmark_run(M, K, F, step_f, dt, 1000, obs_mat=obs)
+    assert np.abs(r.obs - 1.0).max() <= 1.0 + 1e-9
 
 
 def test_cdm_stability_dichotomy():
-    M, K, F, obs = scalar_system(1.0)  # dt_crit = 2
-    r = cdm_run(M, K, F, zero_f, 1.99, 10000, obs_mat=obs, psi0=[1.0])
+    M, K, F, obs = step_load_system(1.0)  # dt_crit = 2
+    r = cdm_run(M, K, F, step_f, 1.99, 10000, obs_mat=obs)
     assert np.abs(r.obs).max() <= 50.0
     with pytest.raises(DivergenceError) as exc:
-        cdm_run(M, K, F, zero_f, 2.01, 10000, obs_mat=obs, psi0=[1.0])
+        cdm_run(M, K, F, step_f, 2.01, 10000, obs_mat=obs)
     assert exc.value.step > 0
     assert exc.value.amplitude > DIVERGENCE_LIMIT
 
 
 @pytest.mark.parametrize("runner", [cdm_run, newmark_run])
 def test_second_order_convergence_scalar(runner):
-    # cos(omega t) free oscillation, errors sampled at shared times
+    # 1 - cos(omega t) step response, errors sampled at shared times
     omega, T = 5.0, 2.0
-    M, K, F, obs = scalar_system(omega)
+    M, K, F, obs = step_load_system(omega)
     errs = []
     for n_t in (100, 200):
         dt = T / n_t
-        r = runner(M, K, F, zero_f, dt, n_t, obs_mat=obs, psi0=[1.0])
+        r = runner(M, K, F, step_f, dt, n_t, obs_mat=obs)
         stride = n_t // 100
         got = r.obs[0, ::stride]
-        exact = np.cos(omega * r.t[::stride])
+        exact = 1.0 - np.cos(omega * r.t[::stride])
         errs.append(np.linalg.norm(got - exact))
     assert 3.6 <= errs[0] / errs[1] <= 4.4
 
@@ -93,14 +105,12 @@ def test_cdm_equals_newmark_beta_zero():
     A = rng.standard_normal((n, n))
     K = sp.csr_matrix(A @ A.T + n * np.eye(n))
     F = rng.standard_normal(n)
-    psi0 = rng.standard_normal(n)
     obs = sp.identity(n, format="csr")
     from wavecell.linalg import dt_crit
     dt = 0.5 * dt_crit(K, M)
     f = lambda t: np.sin(3.0 * t)
-    r_cdm = cdm_run(M, K, F, f, dt, 200, obs_mat=obs, psi0=psi0)
-    r_nm = newmark_run(M, K, F, f, dt, 200, obs_mat=obs, psi0=psi0,
-                       beta=0.0, gamma=0.5)
+    r_cdm = cdm_run(M, K, F, f, dt, 200, obs_mat=obs)
+    r_nm = newmark_run(M, K, F, f, dt, 200, obs_mat=obs, beta=0.0, gamma=0.5)
     scale = np.abs(r_cdm.obs).max()
     assert np.abs(r_cdm.obs - r_nm.obs).max() <= 1e-10 * scale
 
@@ -186,18 +196,19 @@ def test_imex_critical_time_step_matches_subsystem():
 
 def test_linearity_of_runs():
     M, K = bar_system()
-    F = np.array([0.2, -0.4, 1.0, 0.3])
+    F1 = np.array([0.2, -0.4, 1.0, 0.3])
+    F2 = np.array([0.1, 0.0, -0.2, 0.05])
     obs = sp.identity(4, format="csr")
     f = lambda t: np.cos(2.0 * t)
-    psi0 = np.array([0.1, 0.0, -0.2, 0.05])
-    v0 = np.array([0.0, 0.3, 0.1, -0.1])
     for runner in (cdm_run, newmark_run):
-        r_f = runner(M, K, F, f, 1e-2, 100, obs_mat=obs)
-        r_h = runner(M, K, np.zeros(4), zero_f, 1e-2, 100, obs_mat=obs,
-                     psi0=psi0, v0=v0)
-        r_both = runner(M, K, F, f, 1e-2, 100, obs_mat=obs, psi0=psi0, v0=v0)
+        r_1 = runner(M, K, F1, f, 1e-2, 100, obs_mat=obs)
+        r_2 = runner(M, K, F2, f, 1e-2, 100, obs_mat=obs)
+        r_both = runner(M, K, F1 + F2, f, 1e-2, 100, obs_mat=obs)
+        r_scaled = runner(M, K, F1, lambda t: 3.0 * f(t), 1e-2, 100,
+                          obs_mat=obs)
         scale = np.abs(r_both.obs).max()
-        assert np.abs(r_f.obs + r_h.obs - r_both.obs).max() <= 1e-12 * scale
+        assert np.abs(r_1.obs + r_2.obs - r_both.obs).max() <= 1e-12 * scale
+        assert np.abs(3.0 * r_1.obs - r_scaled.obs).max() <= 1e-12 * scale
 
 
 def test_select_dt_rules():
