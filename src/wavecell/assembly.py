@@ -237,6 +237,7 @@ class _LeafRules:
 
     def __init__(self, grid: Grid, max_depth: int, q: int):
         self.grid = grid
+        self.max_depth = max_depth
         self.q = q
         g = gl_rule(q)
         starts, lengths, self.offsets = _dyadic_intervals(max_depth)
@@ -255,11 +256,17 @@ class _LeafRules:
             self._tables[key] = (V, D, m1, k1)
         return self._tables[key]
 
-    def leaf_ids(self, box: Box, leaves) -> np.ndarray:
-        """Flat dyadic interval ids, shape (L, 3), of octree leaves of ``box``."""
-        pos = np.rint((leaves.lo - box.lo) / (box.hi - box.lo)
+    def partition(self, lo, hi):
+        """Octree leaves of the element boxes ``lo``, ``hi`` (n, 3), in one
+        batched partition: per box, the flat dyadic interval ids (L, 3) and
+        the classes (L,) of its leaves, as two lists."""
+        leaves = octree_partition(self.grid.geom, (lo, hi), self.max_depth)
+        o = leaves.owner
+        pos = np.rint((leaves.lo - lo[o]) / (hi[o] - lo[o])
                       * (2.0 ** leaves.depth[:, None])).astype(int)
-        return self.offsets[leaves.depth][:, None] + pos
+        ids = (self.offsets[leaves.depth][:, None] + pos).astype(np.int32)
+        split = np.cumsum(np.bincount(o, minlength=lo.shape[0]))[:-1]
+        return np.split(ids, split), np.split(leaves.cls, split)
 
     def points(self, ijk, box: Box, ids: np.ndarray) -> _LeafPoints:
         """Quadrature points of the leaves with interval ids ``ids`` of
@@ -289,8 +296,9 @@ class ElementIntegralCache:
     exactly.  Building the cache is the expensive geometric step;
     assembling a system for given stabilization parameters afterwards is
     cheap, which is what makes parameter sweeps affordable.  The octree
-    leaves of every cut element are kept (as dyadic interval ids) so that
-    :func:`spatial_load` integrates on them without partitioning again.
+    leaves of every cut element are kept (as dyadic interval ids and leaf
+    classes) so that :func:`spatial_load` integrates on them without
+    partitioning or classifying again.
     """
 
     def __init__(self, grid: Grid, octree_depth: int = DEFAULT_OCTREE_DEPTH):
@@ -305,14 +313,13 @@ class ElementIntegralCache:
         n3 = (grid.spec.p + 1) ** 3
         self.M_in = np.zeros((cut.shape[0], n3, n3))
         self.K_in = np.zeros((cut.shape[0], n3, n3))
-        self._leaf_ids = []
+        lo = grid.origin + cut * grid.h
+        # The load's leaves too: one batched partition of all cut elements.
+        self._leaf_ids, self._leaf_cls = self._rules.partition(lo, lo + grid.h)
         for e, ijk in enumerate(cut):
-            box = grid.element_box(ijk)
-            leaves = octree_partition(grid.geom, box, self.octree_depth)
-            ids = self._rules.leaf_ids(box, leaves).astype(np.int32)
-            self._leaf_ids.append(ids)          # the load's leaves
             self.M_in[e], self.K_in[e] = self._integrate_cut(
-                ijk, box, leaves.cls, ids)
+                ijk, grid.element_box(ijk), self._leaf_cls[e],
+                self._leaf_ids[e])
 
     def full_element(self, ijk):
         """Exact reference ``(M, K)`` of the whole element (indicator one):
@@ -648,7 +655,9 @@ def spatial_load(grid: Grid, source: SourceSpec, alpha: float,
 
     Every element within 14 sigma of the source is integrated on the same
     octree leaves as the cut-element integrals (the element itself when
-    uncut); each point takes its indicator from
+    uncut).  The indicator comes from the leaf class: 1 on uncut elements
+    and inside leaves, alpha on outside leaves; only the points of leaves
+    still cut at maximum depth are classified, by
     :meth:`Grid.point_alpha_mask`.  Farther elements contribute below
     double precision resolution and are skipped.  A ``cache`` of this grid
     and depth supplies the cut elements' leaves (and its leaf tables when
@@ -669,23 +678,27 @@ def spatial_load(grid: Grid, source: SourceSpec, alpha: float,
         src_grid = src_local
     else:
         src_grid = grid.geom.to_global(src_local)
-    cutoff = 14.0 * source.sigma
-    whole = np.zeros((1, 3), dtype=int)   # interval ids of the element itself
-    cut_no = np.cumsum(grid.kept_cut) - 1  # position in the cache's stacks
-    for ijk, cut, e in zip(grid.kept, grid.kept_cut, cut_no):
-        box = grid.element_box(ijk)
-        nearest = np.clip(src_grid, box.lo, box.hi)
-        if np.linalg.norm(nearest - src_grid) > cutoff:
-            continue
-        if not cut:
-            ids = whole
-        elif cache is not None:
-            ids = cache._leaf_ids[e]
-        else:
-            ids = rules.leaf_ids(box, octree_partition(grid.geom, box,
-                                                       octree_depth))
-        pts = rules.points(ijk, box, ids)
-        a_fcm = np.where(grid.point_alpha_mask(pts.x), 1.0, alpha)
+    lo = grid.origin + grid.kept * grid.h
+    hi = lo + grid.h
+    dist = np.linalg.norm(np.clip(src_grid, lo, hi) - src_grid, axis=1)
+    near = np.flatnonzero(dist <= 14.0 * source.sigma)
+    near_cut = near[grid.kept_cut[near]]
+    if cache is not None:
+        cut_no = (np.cumsum(grid.kept_cut) - 1)[near_cut]  # cache position
+        cut_leaves = iter([(cache._leaf_ids[e], cache._leaf_cls[e])
+                           for e in cut_no])
+    else:
+        cut_leaves = zip(*rules.partition(lo[near_cut], hi[near_cut]))
+    whole = (np.zeros((1, 3), dtype=int), np.array([ElementClass.INSIDE]))
+    for k in near:
+        ids, cls = next(cut_leaves) if grid.kept_cut[k] else whole
+        ijk = grid.kept[k]
+        pts = rules.points(ijk, Box(lo[k], hi[k]), ids)
+        inside = np.zeros(pts.w.shape, dtype=bool)
+        inside[cls == ElementClass.INSIDE] = True
+        cut = cls == ElementClass.CUT
+        inside[cut] = grid.point_alpha_mask(pts.x[cut])
+        a_fcm = np.where(inside, 1.0, alpha)
         # Rotation keeps distances, so d is measured in the grid frame.
         d2 = np.sum((pts.x - src_grid) ** 2, axis=-1)
         f = np.exp(-0.5 * d2 / source.sigma**2)

@@ -17,8 +17,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
 import scipy.io
+from numpy.linalg import LinAlgError
 
 from .assembly import assemble
 from .harness import (BenchmarkConfig, Grid, convergence_study, dof_count,
@@ -218,7 +218,9 @@ def main(argv=None) -> int:
     _limit_threads(args)
     try:
         return _COMMANDS[args.command](cfg, args)
-    except (DivergenceError, IndefiniteMatrixError, RuntimeError) as exc:
+    except (DivergenceError, IndefiniteMatrixError, LinAlgError,
+            RuntimeError) as exc:
+        # LinAlgError subclasses ValueError, so it is caught first.
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

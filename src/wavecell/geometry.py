@@ -32,6 +32,10 @@ from scipy.spatial import QhullError
 # feature a moderately deep space tree can certify.
 MIN_VOLUME_FRACTION = 2.0 ** -24
 
+# Most boxes `classify_boxes` takes in one pass: it bounds the temporaries
+# at a paper-size octree level, and the benchmark's levels fit in one pass.
+_CLASSIFY_CHUNK = 2 ** 14
+
 
 class ElementClass(IntEnum):
     """Classification of an axis-aligned box against the physical domain."""
@@ -173,17 +177,26 @@ class ImmersedGeometry:
 
     def contains(self, x) -> np.ndarray:
         """Whether global points lie in the closed physical cube."""
-        loc = self.to_local(x)
-        return np.max(np.abs(loc), axis=-1) <= self.l_p / 2.0
+        loc = np.abs(self.to_local(x))
+        half = self.l_p / 2.0
+        return ((loc[..., 0] <= half) & (loc[..., 1] <= half)
+                & (loc[..., 2] <= half))
 
     def classify_boxes(self, lo, hi) -> np.ndarray:
         """Classify a batch of axis-aligned boxes, shapes (n, 3) -> (n,).
 
         Exact for box-cube pairs: containment is decided on corners, overlap
-        by the separating-axis test over the 15 candidate axes.
+        by the separating-axis test over the 15 candidate axes.  Larger
+        batches than ``_CLASSIFY_CHUNK`` go in chunks, which bounds the
+        temporaries (about 1 kB per box) and changes no class.
         """
         lo = np.atleast_2d(np.asarray(lo, dtype=float))
         hi = np.atleast_2d(np.asarray(hi, dtype=float))
+        if lo.shape[0] > _CLASSIFY_CHUNK:
+            return np.concatenate([
+                self.classify_boxes(lo[i:i + _CLASSIFY_CHUNK],
+                                    hi[i:i + _CLASSIFY_CHUNK])
+                for i in range(0, lo.shape[0], _CLASSIFY_CHUNK)])
         half = self.l_p / 2.0
         T = self.rotation
         corners_local = (_box_corners(lo, hi) - self.center) @ T
@@ -285,45 +298,49 @@ def _clip_segment(p0, p1, lo, hi):
 
 @dataclass
 class OctreeLeaves:
-    """Flat leaf arrays of an octree partition, in deterministic order."""
+    """Flat leaf arrays of the octree partitions of a batch of boxes, grouped
+    by ``owner`` (the box index) and in deterministic order within a box."""
 
     lo: np.ndarray      # (n, 3)
     hi: np.ndarray      # (n, 3)
     cls: np.ndarray     # (n,) ElementClass values
     depth: np.ndarray   # (n,)
+    owner: np.ndarray   # (n,) index of the partitioned box
 
     def __len__(self):
         return self.lo.shape[0]
 
 
-def octree_partition(geom: ImmersedGeometry, box: Box, max_depth: int) -> OctreeLeaves:
-    """Partition a cut box by recursive octasection of its cut children.
+def octree_partition(geom: ImmersedGeometry, box, max_depth: int) -> OctreeLeaves:
+    """Partition boxes by recursive octasection of their cut children, with
+    one classification call per depth level for all boxes together.
 
-    Inside and outside boxes become leaves immediately; cut boxes are
-    subdivided until ``max_depth``, where the remaining cut leaves are kept
-    as such (their quadrature points are classified individually by the
-    caller).  ``max_depth = 0`` returns the box itself.
+    ``box`` is one :class:`Box` or a pair ``(lo, hi)`` of corner arrays of
+    shape (n, 3).  Inside and outside boxes become leaves immediately; cut
+    boxes are subdivided until ``max_depth``, where the remaining cut
+    leaves are kept as such (their quadrature points are classified
+    individually by the caller).  ``max_depth = 0`` returns the boxes
+    themselves.  Each box's leaves are listed by depth, children in octant
+    order, and the boxes' groups follow each other in input order.
     """
     if max_depth < 0:
         raise ValueError("max_depth must be >= 0")
-    out_lo, out_hi, out_cls, out_depth = [], [], [], []
-    lo = box.lo[None, :].copy()
-    hi = box.hi[None, :].copy()
+    lo, hi = (box.lo, box.hi) if isinstance(box, Box) else box
+    lo = np.asarray(lo, dtype=float).reshape(-1, 3)
+    hi = np.asarray(hi, dtype=float).reshape(-1, 3)
+    owner = np.arange(lo.shape[0])
+    out = []
     for depth in range(max_depth + 1):
         cls = geom.classify_boxes(lo, hi)
         cut = cls == ElementClass.CUT
         settled = ~cut if depth < max_depth else np.ones(len(cls), dtype=bool)
-        if np.any(settled):
-            out_lo.append(lo[settled])
-            out_hi.append(hi[settled])
-            out_cls.append(cls[settled])
-            out_depth.append(np.full(int(settled.sum()), depth))
+        out.append((lo[settled], hi[settled], cls[settled],
+                    np.full(int(settled.sum()), depth), owner[settled]))
         if depth == max_depth or not np.any(cut):
             break
         lo, hi = _split_octants(lo[cut], hi[cut])
-    return OctreeLeaves(
-        lo=np.concatenate(out_lo),
-        hi=np.concatenate(out_hi),
-        cls=np.concatenate(out_cls),
-        depth=np.concatenate(out_depth),
-    )
+        owner = np.repeat(owner[cut], 8)
+    lo, hi, cls, depth, owner = (np.concatenate(a) for a in zip(*out))
+    order = np.argsort(owner, kind="stable")
+    return OctreeLeaves(lo=lo[order], hi=hi[order], cls=cls[order],
+                        depth=depth[order], owner=owner[order])

@@ -7,6 +7,7 @@ from wavecell.assembly import (
     Grid,
     SourceSpec,
     TensorSystem,
+    _LeafRules,
     assemble,
     ricker,
     spatial_load,
@@ -358,6 +359,80 @@ def test_spatial_load_on_cache_leaves_is_bitwise_equal(small_grid,
     with pytest.raises(ValueError, match="octree depth"):
         spatial_load(small_grid, source, alpha=1e-3, octree_depth=depth + 1,
                      cache=small_cache)
+
+
+def reference_leaf_ids(offsets, box, leaves):
+    """Flat dyadic interval ids (L, 3) of the octree leaves of ``box``."""
+    pos = np.rint((leaves.lo - box.lo) / (box.hi - box.lo)
+                  * 2.0 ** leaves.depth[:, None]).astype(int)
+    return offsets[leaves.depth][:, None] + pos
+
+
+def reference_load(grid, source, alpha, depth, rho):
+    """The load element by element, every point classified by
+    ``Grid.point_alpha_mask``, whatever its leaf class."""
+    rules = _LeafRules(grid, depth, grid.spec.p + 1)
+    src = np.asarray(source.x_local, dtype=float)
+    if not grid.boundary_fitted:
+        src = grid.geom.to_global(src)
+    F = np.zeros(grid.n_dof)
+    for ijk, cut in zip(grid.kept, grid.kept_cut):
+        box = grid.element_box(ijk)
+        if np.linalg.norm(np.clip(src, box.lo, box.hi) - src) > 14.0 * source.sigma:
+            continue
+        ids = np.zeros((1, 3), dtype=int)
+        if cut:
+            ids = reference_leaf_ids(rules.offsets, box,
+                                     octree_partition(grid.geom, box, depth))
+        pts = rules.points(ijk, box, ids)
+        a_fcm = np.where(grid.point_alpha_mask(pts.x), 1.0, alpha)
+        f = np.exp(-0.5 * np.sum((pts.x - src) ** 2, axis=-1) / source.sigma**2)
+        weights = rho * (grid.h / 2.0) ** 3 * pts.w * a_fcm * f
+        F_el = np.einsum("lqrs,lqa,lrb,lsc->abc", weights, *pts.V,
+                         optimize=True).ravel()
+        np.add.at(F, grid.element_dofs(ijk), F_el)
+    return F
+
+
+@pytest.mark.parametrize("family,p,depth", [("lagrange", 2, 2),
+                                            ("lagrange", 3, 3),
+                                            ("bspline", 2, 2),
+                                            ("bspline", 3, 3)])
+def test_spatial_load_indicator_from_leaf_classes(benchmark_geometry, family,
+                                                  p, depth):
+    # Leaf classes decide the indicator of uncut elements and of inside and
+    # outside leaves: the load equals classifying every point, to the bit.
+    grid = Grid.build(benchmark_geometry, BasisSpec(family=family, p=p, n_e=4))
+    source = BenchmarkConfig(l_p=0.3).source()
+    want = reference_load(grid, source, 1e-3, depth, rho=1.7)
+    cache = ElementIntegralCache(grid, octree_depth=depth)
+    assert any((c != ElementClass.CUT).any() for c in cache._leaf_cls)
+    for kwargs in ({}, {"cache": cache}):
+        got = spatial_load(grid, source, alpha=1e-3, rho=1.7,
+                           octree_depth=depth, **kwargs)
+        assert np.abs(got).max() > 0.0
+        assert got.tobytes() == want.tobytes()
+
+
+def test_spatial_load_indicator_boundary_fitted():
+    grid = bf_grid("lagrange", 3, 4)
+    source = SourceSpec(x_local=(0.02, -0.01, 0.0), sigma=0.05)
+    want = reference_load(grid, source, 1e-3, 2, rho=1.7)
+    got = spatial_load(grid, source, alpha=1e-3, rho=1.7, octree_depth=2)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_cache_keeps_classes_of_batched_leaves(small_grid, small_cache):
+    # per cut element, the leaves of its own octree partition in order
+    depth = small_cache.octree_depth
+    cut = small_grid.kept[small_grid.kept_cut]
+    assert len(small_cache._leaf_cls) == len(small_cache._leaf_ids) == len(cut)
+    for ijk, cls, ids in zip(cut, small_cache._leaf_cls, small_cache._leaf_ids):
+        box = small_grid.element_box(ijk)
+        leaves = octree_partition(small_grid.geom, box, depth)
+        assert np.array_equal(cls, leaves.cls)
+        assert np.array_equal(ids, reference_leaf_ids(small_cache._rules.offsets,
+                                                      box, leaves))
 
 
 def test_cd_partition_matches_support_scan(small_grid):

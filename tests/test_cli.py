@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 import scipy.io
+import scipy.sparse.linalg as spla
 
 from wavecell.assembly import Grid, assemble
 from wavecell.cli import main
@@ -67,6 +68,19 @@ def test_run_unstable_step_exits_2(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_unconverged_tensor_solve_exits_2(tmp_path, capsys, monkeypatch):
+    # The tensor CG solve raises LinAlgError, a ValueError subclass: it is
+    # still a numerical failure, not a configuration error.
+    monkeypatch.setattr(spla, "cg", lambda A, b, **kwargs: (b, 1000))
+    cfg_path = write_config(tmp_path, family="lagrange", p=1, n_e=2,
+                            boundary_fitted=True, method="newmark", n_t=5)
+    assert main(["run", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "numerical failure" in err
+    assert "did not converge (info=1000)" in err
 
 
 def test_malformed_config_exits_1(tmp_path, capsys):

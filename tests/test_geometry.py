@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from wavecell import geometry
 from wavecell.geometry import (Box, ElementClass, ImmersedGeometry,
                                cardan_rotation_matrix, octree_partition)
 
@@ -165,3 +166,136 @@ def test_volume_fraction_on_plane_cut():
     # cube face at x = 0.40; box covers 40% inside
     b = Box(np.array([0.36, 0.2, 0.2]), np.array([0.46, 0.3, 0.3]))
     assert abs(g.volume_fraction(b) - 0.4) < 1e-12
+
+
+def reference_partition(g, box, max_depth):
+    """One box, level by level: settled boxes of each depth in order, the
+    cut ones split into their octants (z fastest) for the next depth."""
+    lo, hi = box.lo[None], box.hi[None]
+    leaves = []
+    for depth in range(max_depth + 1):
+        cls = g.classify_boxes(lo, hi)
+        for l, u, c in zip(lo, hi, cls):
+            if c != ElementClass.CUT or depth == max_depth:
+                leaves.append((l, u, c, depth))
+        cut = cls == ElementClass.CUT
+        if depth == max_depth or not cut.any():
+            break
+        kids = []
+        for l, u in zip(lo[cut], hi[cut]):
+            mid = 0.5 * (l + u)
+            for o in ([i, j, k] for i in (0, 1) for j in (0, 1) for k in (0, 1)):
+                o = np.array(o, dtype=bool)
+                kids.append((np.where(o, mid, l), np.where(o, u, mid)))
+        lo, hi = (np.array(a) for a in zip(*kids))
+    return leaves
+
+
+def element_boxes(l_e, n_e):
+    idx = np.arange(n_e)
+    lo = np.stack(np.meshgrid(idx, idx, idx, indexing="ij"),
+                  axis=-1).reshape(-1, 3) * (l_e / n_e)
+    return lo, lo + l_e / n_e
+
+
+class OctreeView:
+    """The leaves of one owner of a batched partition."""
+
+    def __init__(self, leaves, mask):
+        self.lo, self.hi, self.cls, self.depth = (
+            getattr(leaves, f)[mask] for f in ("lo", "hi", "cls", "depth"))
+
+
+# Degenerate angles first: at 0 degrees the cube faces lie on grid planes
+# of the n_e = 5 grid, at 45 degrees edges run along grid diagonals.
+PARTITION_ANGLES = [(0.0, 0.0, 0.0), (45.0, 0.0, 0.0), (0.0, 45.0, 45.0)] + [
+    tuple(np.random.default_rng(seed).uniform(-180.0, 180.0, 3))
+    for seed in (0, 1)]
+
+
+@pytest.mark.parametrize("angles", PARTITION_ANGLES)
+def test_batched_partition_equals_per_box_loop(angles):
+    g = ImmersedGeometry.from_angles(0.3, 0.5, angles)
+    lo, hi = element_boxes(0.5, 5)
+    for depth in range(5):
+        batched = octree_partition(g, (lo, hi), depth)
+        for b, (l, u) in enumerate(zip(lo, hi)):
+            ref = reference_partition(g, Box(l, u), depth)
+            single = octree_partition(g, Box(l, u), depth)
+            mine = batched.owner == b
+            assert mine.sum() == len(ref) == len(single)
+            for leaves in (single, OctreeView(batched, mine)):
+                assert np.array_equal(leaves.lo, np.array([r[0] for r in ref]))
+                assert np.array_equal(leaves.hi, np.array([r[1] for r in ref]))
+                assert np.array_equal(leaves.cls, [r[2] for r in ref])
+                assert np.array_equal(leaves.depth, [r[3] for r in ref])
+        # grouped by owner, in input order
+        assert np.all(np.diff(batched.owner) >= 0)
+        assert np.array_equal(np.unique(batched.owner), np.arange(len(lo)))
+
+
+def test_classification_chunks_change_no_class(monkeypatch):
+    g = ImmersedGeometry.from_angles(0.3, 0.5, (10.0, 10.0, 10.0))
+    lo, hi = element_boxes(0.5, 5)
+    whole = g.classify_boxes(lo, hi)
+    leaves = octree_partition(g, (lo, hi), 3)
+    monkeypatch.setattr(geometry, "_CLASSIFY_CHUNK", 7)
+    assert np.array_equal(g.classify_boxes(lo, hi), whole)
+    chunked = octree_partition(g, (lo, hi), 3)
+    for f in ("lo", "hi", "cls", "depth", "owner"):
+        assert np.array_equal(getattr(chunked, f), getattr(leaves, f))
+
+
+def test_partition_of_no_boxes_is_empty():
+    g = ImmersedGeometry.from_angles(0.3, 0.5, (10.0, 10.0, 10.0))
+    leaves = octree_partition(g, (np.zeros((0, 3)), np.zeros((0, 3))), 2)
+    assert len(leaves) == 0 and leaves.lo.shape == (0, 3)
+
+
+def max_abs_contains(g, x):
+    return np.max(np.abs(g.to_local(x)), axis=-1) <= g.l_p / 2.0
+
+
+@pytest.mark.parametrize("angles", [(10.0, 10.0, 10.0), (0.0, 0.0, 0.0),
+                                    (45.0, 0.0, 0.0), (33.0, -7.0, 120.0)])
+def test_contains_matches_max_abs_form(angles):
+    g = ImmersedGeometry.from_angles(0.3, 0.5, angles)
+    half = g.l_p / 2.0
+    # every combination of on-face, just inside, just outside, interior and
+    # far coordinates: faces, edges and corners of the closed cube
+    v = np.array([half, np.nextafter(half, 0.0), np.nextafter(half, 1.0),
+                  0.0, 0.3 * half, 1.5 * half])
+    v = np.concatenate([v, -v])
+    local = np.stack(np.meshgrid(v, v, v, indexing="ij"), axis=-1).reshape(-1, 3)
+    rng = np.random.default_rng(7)
+    points = np.concatenate([g.to_global(local),
+                             g.center + rng.uniform(-1.0, 1.0, (4000, 3)) * half * 1.3])
+    bad = points[:30].copy()
+    bad[:10, 0], bad[10:20, 1], bad[20:, 2] = np.nan, np.inf, -np.inf
+    points = np.concatenate([points, bad])
+    with np.errstate(invalid="ignore"):     # inf times a zero rotation entry
+        got = g.contains(points)
+        want = max_abs_contains(g, points)
+        got2 = g.contains(points.reshape(2, -1, 3))
+    assert got.dtype == bool
+    assert np.array_equal(got, want)
+    assert got.any() and not got.all() and not got[-30:].any()
+    assert np.array_equal(got2, got.reshape(2, -1))
+
+
+def test_contains_closed_cube_exactly():
+    # dyadic sizes and no rotation make the local coordinates exact, so the
+    # faces, edges and corners of the cube are hit exactly
+    g = ImmersedGeometry.from_angles(0.5, 1.0, (0.0, 0.0, 0.0))
+    half = g.l_p / 2.0
+    v = np.array([-half, 0.0, half])
+    local = np.stack(np.meshgrid(v, v, v, indexing="ij"), axis=-1).reshape(-1, 3)
+    on = g.center + local
+    assert np.array_equal(g.to_local(on), local)
+    assert g.contains(on).all()
+    out = g.center + local * (1.0 + 2.0**-50)  # a few ulps farther out
+    on_boundary = np.abs(local).max(axis=1) == half
+    assert np.array_equal(np.abs(g.to_local(out)).max(axis=1) > half,
+                          on_boundary)
+    assert np.array_equal(g.contains(out), ~on_boundary)
+    assert np.array_equal(g.contains(out), max_abs_contains(g, out))
