@@ -9,16 +9,15 @@ mass and stiffness matrices come from summing element matrices:
   Lagrange family the mass matrix uses the GLL rule of the basis order and
   is diagonal by construction; stiffness always uses an exact
   Gauss-Legendre rule.
-* cut elements are integrated on an octree partition, the only place that
-  turns a cut cell into quadrature points.  Leaves that are fully inside
-  keep the tensor structure; leaves still cut at maximum depth classify
-  every quadrature point individually.  Only the physical (inside) part is
-  stored: with q = p+1 Gauss-Legendre points per leaf every leaf integrates
-  the degree-2p integrand exactly, so the fictitious part is the exact
-  uncut element integral minus the inside part.  Any indicator value alpha
-  (and any eigenvalue stabilization) is applied afterwards without
-  re-integrating.  The load vector integrates the source on the same
-  leaves.
+* cut elements are partitioned by an octree, the only place that turns a
+  cut cell into quadrature points.  Only the physical (inside) part is
+  integrated, on the lattice of maximum-depth octree cells: inside leaves
+  mark their cells, leaves still cut at maximum depth their inside Gauss
+  points.  q = p+1 Gauss-Legendre points per cell integrate the degree-2p
+  integrand exactly, so the fictitious part is the exact uncut element
+  integral minus the inside part, and any indicator value alpha (and any
+  eigenvalue stabilization) is applied afterwards without re-integrating.
+  The load vector integrates the source on the octree leaves themselves.
 
 Degrees of freedom are numbered lexicographically over the tensor function
 grid and compacted to the functions supported on kept elements.  DOFs
@@ -204,35 +203,14 @@ def _signature(spec: BasisSpec, e) -> np.ndarray:
             + np.minimum(spec.n_e - 1 - e, spec.p))
 
 
-@dataclass
-class _LeafPoints:
-    """Tensor Gauss-Legendre points of a batch of L octree leaves.
-
-    Attributes
-    ----------
-    V, D : list of three ndarrays, shape (L, q, p+1)
-        Per direction, basis values and reference derivatives at the
-        leaf's 1D points.
-    w : ndarray, shape (L, q, q, q)
-        Weights in the reference measure (an uncut element sums to 8).
-    x : ndarray, shape (L, q, q, q, 3)
-        Grid-frame coordinates of the points.
-    """
-
-    V: list
-    D: list
-    w: np.ndarray
-    x: np.ndarray
-
-
 class _LeafRules:
     """Gauss-Legendre tables on the dyadic subintervals of [-1, 1].
 
     Every octree leaf of an element is a product of three dyadic intervals
     of the reference element, so its quadrature points, weights and basis
     values are table lookups.  Tables are built once per 1D basis
-    signature.  The cut-element integrals and the load vector both map
-    leaves to points through :meth:`points`.
+    signature.  The load and the cut-element integrals map leaves to
+    points through the same :meth:`coords`.
     """
 
     def __init__(self, grid: Grid, max_depth: int, q: int):
@@ -246,15 +224,20 @@ class _LeafRules:
         self._tables: dict = {}
 
     def tables(self, e: int):
-        """Per-interval basis values, derivatives and 1D partial mass and
-        stiffness ``(V, D, m1, k1)`` on element ``e``."""
+        """Per-interval basis values and derivatives ``(V, D)`` on element
+        ``e``, shape (intervals, q, p+1) each."""
         key = int(_signature(self.grid.spec, e))
         if key not in self._tables:
-            V, D = self.grid.spec.eval_element(e, self.xi)
-            m1, k1 = (np.einsum("lqa,lq,lqb->lab", A, self.w, A)
-                      for A in (V, D))
-            self._tables[key] = (V, D, m1, k1)
+            self._tables[key] = self.grid.spec.eval_element(e, self.xi)
         return self._tables[key]
+
+    def coords(self, lo, hi, ids):
+        """Grid-frame points (N, q, q, q, 3) of the leaves with interval ids
+        ``ids`` (N, 3) of elements with corners ``lo``, ``hi``."""
+        x = lo[..., None] + (self.xi[ids] + 1.0) / 2.0 * (hi - lo)[..., None]
+        return np.stack(np.broadcast_arrays(x[:, 0, :, None, None],
+                                            x[:, 1, None, :, None],
+                                            x[:, 2, None, None, :]), axis=-1)
 
     def partition(self, lo, hi):
         """Octree leaves of the element boxes ``lo``, ``hi`` (n, 3), in one
@@ -268,19 +251,29 @@ class _LeafRules:
         split = np.cumsum(np.bincount(o, minlength=lo.shape[0]))[:-1]
         return np.split(ids, split), np.split(leaves.cls, split)
 
-    def points(self, ijk, box: Box, ids: np.ndarray) -> _LeafPoints:
-        """Quadrature points of the leaves with interval ids ``ids`` of
-        element ``ijk`` (whose box is ``box``)."""
-        tabs = [self.tables(int(e)) for e in ijk]
-        V = [tabs[d][0][ids[:, d]] for d in range(3)]
-        D = [tabs[d][1][ids[:, d]] for d in range(3)]
+    def points(self, ijk, box: Box, ids: np.ndarray):
+        """Quadrature points of the leaves with interval ids ``ids`` (L, 3)
+        of element ``ijk`` (whose box is ``box``): per direction the basis
+        values (L, q, p+1), the weights (L, q, q, q) in the reference
+        measure (an uncut element sums to 8) and the points ``coords``."""
+        V = [self.tables(int(e))[0][ids[:, d]] for d, e in enumerate(ijk)]
         w = np.einsum("lq,lr,ls->lqrs", *(self.w[ids[:, d]] for d in range(3)))
-        x = [box.lo[d] + (self.xi[ids[:, d]] + 1.0) / 2.0 * (box.hi[d] - box.lo[d])
-             for d in range(3)]
-        x = np.stack(np.broadcast_arrays(x[0][:, :, None, None],
-                                         x[1][:, None, :, None],
-                                         x[2][:, None, None, :]), axis=-1)
-        return _LeafPoints(V=V, D=D, w=w, x=x)
+        return V, w, self.coords(box.lo, box.hi, ids)
+
+    def factors(self, ijk, depth: int):
+        """Outer products w V (x) V and w D (x) D at the Gauss points of the
+        depth-``depth`` cells, (S, 2, 2^depth, q, n, n), one per signature
+        of elements ``ijk`` (C, 3), and each element's index into them (C, 3).
+        Each signature's tables are built on its first element in row-major
+        order: B-spline values differ in the last bit between elements."""
+        _, first, inv = np.unique(_signature(self.grid.spec, ijk),
+                                  return_index=True, return_inverse=True)
+        tabs = {f: self.tables(int(ijk.flat[f])) for f in np.sort(first)}
+        ids = self.offsets[depth] + np.arange(2 ** depth)
+        w = self.w[ids][:, :, None, None]
+        return (np.array([[w * A[ids, :, :, None] * A[ids, :, None, :]
+                           for A in tabs[f]] for f in first]),
+                inv.reshape(ijk.shape))
 
 
 class ElementIntegralCache:
@@ -291,118 +284,123 @@ class ElementIntegralCache:
     the reference element (``K_in`` sums the three gradient directions with
     reference derivatives; rho, c and the element size are applied when
     combining).  The fictitious part is the uncut element integral
-    (:meth:`full_element`) minus the inside part, exact because q = p+1
-    Gauss-Legendre points per octree leaf integrate the degree-2p integrand
-    exactly.  Building the cache is the expensive geometric step;
-    assembling a system for given stabilization parameters afterwards is
-    cheap, which is what makes parameter sweeps affordable.  The octree
-    leaves of every cut element are kept (as dyadic interval ids and leaf
-    classes) so that :func:`spatial_load` integrates on them without
-    partitioning or classifying again.
+    (:meth:`full_element`) minus the inside part.  Building the cache is
+    the expensive geometric step; assembling a system for given
+    stabilization parameters afterwards is cheap, which is what makes
+    parameter sweeps affordable.
+
+    Inside leaves mark their maximum-depth cells, leaves still cut at
+    maximum depth their inside Gauss points, each on its lattice, which
+    :func:`_contract` sums; the leaves are kept for :func:`spatial_load`.
     """
 
     def __init__(self, grid: Grid, octree_depth: int = DEFAULT_OCTREE_DEPTH):
         self.grid = grid
-        self.octree_depth = int(octree_depth)
-        self.q = grid.spec.p + 1
+        self.octree_depth = D = int(octree_depth)
+        self.q = q = grid.spec.p + 1
         if self.octree_depth < 0:
             raise ValueError("octree depth must be >= 0")
-        self._rules = _LeafRules(grid, self.octree_depth, self.q)
-        self._full: dict = {}
+        self._rules = rules = _LeafRules(grid, D, q)
         cut = grid.kept[grid.kept_cut]
-        n3 = (grid.spec.p + 1) ** 3
-        self.M_in = np.zeros((cut.shape[0], n3, n3))
-        self.K_in = np.zeros((cut.shape[0], n3, n3))
+        self.M_in = np.zeros((cut.shape[0], q**3, q**3))
+        self.K_in = np.zeros((cut.shape[0], q**3, q**3))
         lo = grid.origin + cut * grid.h
+        hi = lo + grid.h
         # The load's leaves too: one batched partition of all cut elements.
-        self._leaf_ids, self._leaf_cls = self._rules.partition(lo, lo + grid.h)
-        for e, ijk in enumerate(cut):
-            self.M_in[e], self.K_in[e] = self._integrate_cut(
-                ijk, grid.element_box(ijk), self._leaf_cls[e],
-                self._leaf_ids[e])
+        self._leaf_ids, self._leaf_cls = rules.partition(lo, hi)
+        ids, cls = np.concatenate(self._leaf_ids), np.concatenate(self._leaf_cls)
+        owner = np.repeat(np.arange(len(self._leaf_cls)),
+                          [c.size for c in self._leaf_cls])
+        depth = np.searchsorted(rules.offsets, ids[:, 0], side="right") - 1
+        pos = ids - rules.offsets[depth][:, None]   # index within its depth
+        F, index = rules.factors(cut, D)
+
+        sel = cls == ElementClass.INSIDE            # on the cell lattice
+        for els, e, d, c in _chunks(2**D, q, owner[sel], depth[sel], pos[sel]):
+            inside = np.zeros((els.size,) + (2**D,) * 3, dtype=bool)
+            for k in np.unique(d):          # a depth-k leaf covers s^3 cells
+                s = 2 ** (D - k)
+                _paint(inside, e[d == k], c[d == k] * s, s, True)
+            self._add(els, inside, F.sum(axis=3), index[els])
+
+        sel = cls == ElementClass.CUT   # at maximum depth: point by point
+        L = 2**D * q
+        for els, e, c in _chunks(L, q, owner[sel], pos[sel]):
+            x = rules.coords(lo[els][e], hi[els][e], rules.offsets[D] + c)
+            inside = np.zeros((els.size, L, L, L), dtype=bool)
+            _paint(inside, e, c * q, q, grid.point_alpha_mask(x))
+            self._add(els, inside, F.reshape(F.shape[:2] + (L,) + F.shape[4:]),
+                      index[els])
+
+    def _add(self, els, inside, F, index):
+        M, K = _contract(inside, [F if len(F) == 1 else F[i] for i in index.T])
+        self.M_in[els] += M
+        self.K_in[els] += K
 
     def full_element(self, ijk):
         """Exact reference ``(M, K)`` of the whole element (indicator one):
-        the Kronecker products of the 1D Gauss-Legendre matrices of the
-        depth-0 leaf, one pair per boundary signature."""
-        key = tuple(_signature(self.grid.spec, ijk).tolist())
-        if key not in self._full:
-            tabs = [self._rules.tables(int(e)) for e in ijk]
-            terms = _separable_terms([t[2][:1] for t in tabs],
-                                     [t[3][:1] for t in tabs])
-            self._full[key] = (_pair_gemm(self.q, *terms[:2]),
-                               _pair_gemm(self.q, *terms[2:]))
-        return self._full[key]
-
-    def _integrate_cut(self, ijk, box: Box, cls, ids):
-        """Inside ``(M, K)`` of cut element ``ijk`` from its octree leaves
-        (classes ``cls``, interval ids ``ids``), by sum factorization.
-
-        Every leaf adds Kronecker products X (x) YZ of an x-direction
-        factor and a y-z pair, so each matrix is one GEMM over the stacked
-        terms.  Inside leaves pair their 1D partial matrices.  Leaves still
-        cut at maximum depth contract their masked weights with per-point
-        pair tables, z then y, which leaves one x factor per x point.
-        """
-        x_m, yz_m, x_k, yz_k = [], [], [], []
-        sel = cls == ElementClass.INSIDE
-        if sel.any():
-            tabs = [self._rules.tables(int(i)) for i in ijk]
-            x_m, yz_m, x_k, yz_k = _separable_terms(
-                [t[2][ids[sel, d]] for d, t in enumerate(tabs)],
-                [t[3][ids[sel, d]] for d, t in enumerate(tabs)])
-        sel = cls == ElementClass.CUT
-        if sel.any():
-            pts = self._rules.points(ijk, box, ids[sel])
-            L, q = pts.w.shape[:2]
-            W = np.where(self.grid.point_alpha_mask(pts.x), pts.w, 0.0)
-            # Per-point pair tables V (x) V and D (x) D, (L, q, n^2) each.
-            (Vx, Vy, Vz), (Dx, Dy, Dz) = ([_outer(A, A) for A in T]
-                                          for T in (pts.V, pts.D))
-            # z: one (q^2 x q)(q x n^2) product per leaf.
-            W = W.reshape(L, q * q, q)
-            Wm, Wk = ((W @ Z).reshape(L, q, q, -1) for Z in (Vz, Dz))
-            # y: one (n^2 x q)(q x n^2) product per leaf and x point.
-            Vy, Dy = (Y.transpose(0, 2, 1)[:, None] for Y in (Vy, Dy))
-            Sm = Vy @ Wm
-            x_m.append(Vx)
-            yz_m.append(Sm)
-            x_k += [Dx, Vx]
-            yz_k += [Sm, Dy @ Wm + Vy @ Wk]
-        if not x_m:
-            return 0.0, 0.0     # every leaf is outside
-        return _pair_gemm(self.q, x_m, yz_m), _pair_gemm(self.q, x_k, yz_k)
+        the contraction on its one depth-0 cell."""
+        F, sig = self._rules.factors(np.array([ijk]), 0)
+        M, K = _contract(np.ones((1, 1, 1, 1), dtype=bool),
+                         [F.sum(axis=3)[i] for i in sig.T])
+        return M[0], K[0]
 
 
-def _outer(A, B):
-    """Outer products over the last axis, flattened: (..., m) and (..., k)
-    give (..., m k)."""
-    return (A[..., :, None] * B[..., None, :]).reshape(A.shape[:-1] + (-1,))
+# Bytes of a chunk's largest array: about an L2 cache, as larger was slower.
+_LATTICE_CHUNK_BYTES = 2 ** 20
 
 
-def _separable_terms(m, k):
-    """GEMM terms ``(x_m, yz_m, x_k, yz_k)`` of the summed Kronecker
-    products m_x m_y m_z and k_x m_y m_z + m_x k_y m_z + m_x m_y k_z, from
-    stacks (L, n, n) of 1D mass ``m`` and stiffness ``k`` per direction."""
-    (mx, my, mz), (kx, ky, kz) = ([a.reshape(a.shape[0], -1) for a in s]
-                                  for s in (m, k))
-    yz = _outer(my, mz)
-    return [mx], [yz], [kx, mx], [yz, _outer(ky, mz) + _outer(my, kz)]
+def _chunks(L, n, owner, *per_leaf):
+    """Groups of the elements in ``owner`` (sorted, one entry per leaf)
+    whose lattice contractions (L^3 indices, n functions per direction) fit
+    the budget: element ids, each leaf's element in its group, and the
+    group's part of ``per_leaf``."""
+    els, start, local = np.unique(owner, return_index=True, return_inverse=True)
+    per = max(1, _LATTICE_CHUNK_BYTES
+              // (8 * max(L**3, 2 * n**2 * L**2, 4 * n**4 * L, 8 * n**6)))
+    start = np.append(start, owner.size)
+    for a in range(0, els.size, per):
+        leaf = slice(start[a], start[min(a + per, els.size)])
+        yield (els[a:a + per], local[leaf] - a) + tuple(x[leaf] for x in per_leaf)
 
 
-def _pair_gemm(n, xs, yzs):
-    """Sum of the Kronecker products X (x) YZ of stacked terms, as one
-    (n^3, n^3) matrix.
+def _paint(lattice, e, start, s, value):
+    """Set the cubes of side s at ``start`` (N, 3) of elements ``e`` (N,)."""
+    i = start[:, :, None] + np.arange(s)
+    lattice[e[:, None, None, None], i[:, 0, :, None, None],
+            i[:, 1, None, :, None], i[:, 2, None, None, :]] = value
 
-    ``xs`` holds x-direction factors indexed (a, d), ``yzs`` the matching
-    y-z pairs indexed (b, e, c, f); all leading axes form the contraction
-    axis.  One GEMM gives rows (a, d) and columns (b, e, c, f), and one
-    transpose reorders them to ((a, b, c), (d, e, f)) with z fastest.
+
+def _contract(inside, tables):
+    """Mass and stiffness stacks of Kronecker products over a lattice.
+
+    For each element c of ``inside`` (C, L, L, L), M[c] sums A[X] (x) B[Y]
+    (x) C[Z] where inside[c, X, Y, Z] holds, with value factors; K[c] takes
+    the derivative factor in one direction at a time.  ``tables`` holds the
+    x, y and z factors (S, 2, L, n, n), value then derivative, shared
+    (S = 1) or per element (S = C).  Returns two (C, n^3, n^3) stacks.
     """
-    X = np.concatenate([x.reshape(-1, n**2) for x in xs])
-    YZ = np.concatenate([yz.reshape(-1, n**4) for yz in yzs])
-    out = (X.T @ YZ).reshape((n,) * 6).transpose(0, 2, 4, 1, 3, 5)
-    return out.reshape(n**3, n**3)
+    C, L = inside.shape[:2]
+    n = tables[0].shape[-1]
+    tx, ty, tz = (t.transpose(0, 1, 3, 4, 2).reshape(t.shape[0], -1, L)
+                  for t in tables)                  # (S, 2 n^2, L)
+    # z: one GEMM on the z-lines that hold an inside index (about a third
+    # of a Gauss point lattice), or one batched matmul per element.
+    if tz.shape[0] == 1:
+        rows = inside.reshape(-1, L)
+        lines = np.flatnonzero(rows.any(axis=1))
+        T = np.zeros((rows.shape[0], 2 * n * n))
+        T[lines] = rows[lines].astype(float) @ tz[0].T
+    else:
+        T = inside.reshape(C, L * L, L).astype(float) @ tz.transpose(0, 2, 1)
+    # y then x: R[:, i, :, j, :, k] has factor i in x, j in y, k in z.
+    S = ty[:, None] @ T.reshape(C, L, L, -1)
+    R = (tx @ S.reshape(C, L, -1)).reshape((C,) + (2, n, n) * 3)
+    M = R[:, 0, :, :, 0, :, :, 0]
+    K = R[:, 1, :, :, 0, :, :, 0] + R[:, 0, :, :, 1, :, :, 0] + R[:, 0, :, :, 0, :, :, 1]
+    # Axes (a, d, b, e, c, f) to rows (a, b, c) and columns (d, e, f).
+    return [A.transpose(0, 1, 3, 5, 2, 4, 6).reshape(C, n**3, n**3)
+            for A in (M, K)]
 
 
 def _dyadic_intervals(max_depth: int):
@@ -693,17 +691,17 @@ def spatial_load(grid: Grid, source: SourceSpec, alpha: float,
     for k in near:
         ids, cls = next(cut_leaves) if grid.kept_cut[k] else whole
         ijk = grid.kept[k]
-        pts = rules.points(ijk, Box(lo[k], hi[k]), ids)
-        inside = np.zeros(pts.w.shape, dtype=bool)
+        V, w, x = rules.points(ijk, Box(lo[k], hi[k]), ids)
+        inside = np.zeros(w.shape, dtype=bool)
         inside[cls == ElementClass.INSIDE] = True
         cut = cls == ElementClass.CUT
-        inside[cut] = grid.point_alpha_mask(pts.x[cut])
+        inside[cut] = grid.point_alpha_mask(x[cut])
         a_fcm = np.where(inside, 1.0, alpha)
         # Rotation keeps distances, so d is measured in the grid frame.
-        d2 = np.sum((pts.x - src_grid) ** 2, axis=-1)
+        d2 = np.sum((x - src_grid) ** 2, axis=-1)
         f = np.exp(-0.5 * d2 / source.sigma**2)
-        weights = rho * (grid.h / 2.0) ** 3 * pts.w * a_fcm * f
-        F_el = np.einsum("lqrs,lqa,lrb,lsc->abc", weights, *pts.V,
+        weights = rho * (grid.h / 2.0) ** 3 * w * a_fcm * f
+        F_el = np.einsum("lqrs,lqa,lrb,lsc->abc", weights, *V,
                          optimize=True).ravel()
         np.add.at(F, grid.element_dofs(ijk), F_el)
     return F

@@ -168,8 +168,10 @@ class ImmersedGeometry:
                    center=np.asarray(center, dtype=float))
 
     def to_local(self, x) -> np.ndarray:
-        """Map global points (..., 3) to cube-centered local coordinates."""
-        return (np.asarray(x, dtype=float) - self.center) @ self.rotation
+        """Map global points (..., 3) to cube-centered local coordinates, as
+        one (n, 3) @ (3, 3) product rather than a stack of small ones."""
+        x = np.asarray(x, dtype=float) - self.center
+        return (x.reshape(-1, 3) @ self.rotation).reshape(x.shape)
 
     def to_global(self, x_local) -> np.ndarray:
         """Map local points (..., 3) back to global coordinates."""

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from wavecell import assembly
 from wavecell.assembly import (
     ElementIntegralCache,
     Grid,
@@ -275,13 +278,16 @@ def one_cut_element(geom, box, family, p):
                 kept=np.zeros((1, 3), dtype=int))
 
 
-@pytest.mark.parametrize("depth", [0, 1, 2, 3])
-@pytest.mark.parametrize("family, p", [("lagrange", 1), ("lagrange", 2),
-                                       ("lagrange", 3), ("bspline", 2)])
+@pytest.mark.parametrize(
+    "family, p, depth",
+    [(f, p, d) for f, p in (("lagrange", 1), ("lagrange", 2), ("lagrange", 3),
+                            ("bspline", 2)) for d in range(4)]
+    + [("lagrange", 3, 4)] + [("bspline", 3, d) for d in range(5)])
 def test_cut_kernel_against_point_sum(benchmark_geometry, family, p, depth):
-    # The sum-factorized inside part of every cut element against the sum
-    # over the flat list of quadrature points.  At depth 0 every element
-    # is a single leaf still cut at maximum depth, so only pointwise leaves.
+    # The inside part of every cut element, summed on the lattices of
+    # maximum-depth cells and of their Gauss points, against the sum over
+    # the flat list of quadrature points.  At depth 0 every element is a
+    # single leaf still cut at maximum depth, so only pointwise leaves.
     grid = Grid.build(benchmark_geometry,
                       BasisSpec(family=family, p=p, n_e=4))
     cache = ElementIntegralCache(grid, octree_depth=depth)
@@ -311,6 +317,63 @@ def test_cut_kernel_against_point_sum(benchmark_geometry, family, p, depth):
     assert not inside.any()
     cache = ElementIntegralCache(one, octree_depth=depth)
     assert not cache.M_in.any() and not cache.K_in.any()
+
+
+@pytest.mark.parametrize("family, p, depth", [("lagrange", 3, 3),
+                                              ("bspline", 2, 2)])
+def test_cache_chunks_change_no_element(benchmark_geometry, monkeypatch,
+                                        family, p, depth):
+    # One element per chunk, then every element in one chunk: the B-spline
+    # chunks then mix boundary signatures, so both z paths run.
+    grid = Grid.build(benchmark_geometry, BasisSpec(family=family, p=p, n_e=4))
+    caches = []
+    for budget in (1, 2**62):
+        monkeypatch.setattr(assembly, "_LATTICE_CHUNK_BYTES", budget)
+        caches.append(ElementIntegralCache(grid, octree_depth=depth))
+    one, whole = caches
+    for A, B in ((one.M_in, whole.M_in), (one.K_in, whole.K_in)):
+        scale = np.abs(A).max(axis=(1, 2))
+        assert scale.any()
+        assert (np.abs(A - B).max(axis=(1, 2)) <= 1e-14 * scale).all()
+
+
+@pytest.mark.parametrize("family, n_e, p", [("bspline", 5, 2),
+                                            ("lagrange", 3, 3)])
+def test_full_element_equals_kronecker_build(family, n_e, p):
+    # Every element of a B-spline p=2, n_e=5 grid has its own boundary
+    # signature; each full element against np.kron of the 1D Gauss
+    # matrices of the whole element.
+    grid = bf_grid(family, p, n_e)
+    cache = ElementIntegralCache(grid, octree_depth=2)
+    g = gl_rule(p + 1)
+    for ijk in np.ndindex(n_e, n_e, n_e):
+        V, D = zip(*(grid.spec.eval_element(e, g.nodes) for e in ijk))
+        m = [(A * g.weights[:, None]).T @ A for A in V]
+        k = [(A * g.weights[:, None]).T @ A for A in D]
+        M_ref = kron3(*m)
+        K_ref = (kron3(k[0], m[1], m[2]) + kron3(m[0], k[1], m[2])
+                 + kron3(m[0], m[1], k[2]))
+        M, K = cache.full_element(ijk)
+        for got, want in ((M, M_ref), (K, K_ref)):
+            assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+        assert np.abs(K.sum(axis=1)).max() <= 1e-14 * np.abs(K).sum(axis=1).max()
+
+
+def test_cache_build_memory():
+    # The traced peak of a build at Lagrange p3n6 depth 3 was 15.38 MB
+    # before the lattice integration (the octree partition dominates it);
+    # the lattice chunks may not raise it by more than 10%.
+    geom = ImmersedGeometry.from_angles(0.3, 0.5, (10.0, 10.0, 10.0))
+    grid = Grid.build(geom, BasisSpec(family="lagrange", p=3, n_e=6))
+    grid.dofmap
+    ElementIntegralCache(grid, octree_depth=3)   # memoized rules built
+    tracemalloc.start()
+    try:
+        ElementIntegralCache(grid, octree_depth=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * 15.38e6
 
 
 def test_cache_builds_are_bit_identical(benchmark_geometry):
@@ -384,11 +447,11 @@ def reference_load(grid, source, alpha, depth, rho):
         if cut:
             ids = reference_leaf_ids(rules.offsets, box,
                                      octree_partition(grid.geom, box, depth))
-        pts = rules.points(ijk, box, ids)
-        a_fcm = np.where(grid.point_alpha_mask(pts.x), 1.0, alpha)
-        f = np.exp(-0.5 * np.sum((pts.x - src) ** 2, axis=-1) / source.sigma**2)
-        weights = rho * (grid.h / 2.0) ** 3 * pts.w * a_fcm * f
-        F_el = np.einsum("lqrs,lqa,lrb,lsc->abc", weights, *pts.V,
+        V, w, x = rules.points(ijk, box, ids)
+        a_fcm = np.where(grid.point_alpha_mask(x), 1.0, alpha)
+        f = np.exp(-0.5 * np.sum((x - src) ** 2, axis=-1) / source.sigma**2)
+        weights = rho * (grid.h / 2.0) ** 3 * w * a_fcm * f
+        F_el = np.einsum("lqrs,lqa,lrb,lsc->abc", weights, *V,
                          optimize=True).ravel()
         np.add.at(F, grid.element_dofs(ijk), F_el)
     return F
