@@ -141,9 +141,10 @@ def bspline_eval(knots, p, span, x):
 
     Uses the Cox-de Boor recursion on the ``p+1`` functions supported on
     knot span ``span`` (``knots[span] <= x <= knots[span + 1]``).  ``span``
-    and ``x`` broadcast against each other; each point is evaluated as the
-    polynomial of its span, so the end points of a span give that span's
-    one-sided limits.
+    and ``x`` broadcast against each other, and against the leading axes
+    of ``knots`` when it has more than one (a knot vector per point).
+    Each point is evaluated as the polynomial of its span, so the end
+    points of a span give that span's one-sided limits.
 
     Returns
     -------
@@ -152,7 +153,13 @@ def bspline_eval(knots, p, span, x):
         span``.
     """
     knots = np.asarray(knots, dtype=float)
-    span, x = np.broadcast_arrays(np.asarray(span), np.asarray(x, dtype=float))
+    x = np.asarray(x, dtype=float)
+    shape = np.broadcast_shapes(np.shape(span), x.shape, knots.shape[:-1])
+    span, x = np.broadcast_to(span, shape), np.broadcast_to(x, shape)
+    knots = np.broadcast_to(knots, shape + knots.shape[-1:])
+    # knots[span - p + 1 : span + p + 1], all the recursion reads.
+    window = np.take_along_axis(
+        knots, span[..., None] + np.arange(1 - p, p + 1), axis=-1)
     N = np.zeros(x.shape + (p + 1,))
     N[..., 0] = 1.0
     D = np.zeros(x.shape + (p + 1,))
@@ -162,12 +169,11 @@ def bspline_eval(knots, p, span, x):
         if j == p:
             # N[..., :p] holds the degree p-1 basis here; each derivative
             # is a difference of two of its functions (de Boor).
-            s = span[..., None] + np.arange(1, p + 1)
-            term = p * N[..., :p] / (knots[s] - knots[s - p])
+            term = p * N[..., :p] / (window[..., p:] - window[..., :p])
             D[..., 1:] += term
             D[..., :-1] -= term
-        left[..., j] = x - knots[span + 1 - j]
-        right[..., j] = knots[span + j] - x
+        left[..., j] = x - window[..., p - j]
+        right[..., j] = window[..., p - 1 + j] - x
         saved = np.zeros(x.shape)
         for r in range(j):
             denom = right[..., r + 1] + left[..., j - r]
@@ -226,9 +232,10 @@ class BasisSpec:
             shape = np.broadcast_shapes(e.shape, xi.shape)
             return lagrange_eval(gll_rule(self.p).nodes,
                                  np.broadcast_to(xi, shape))
-        knots = open_uniform_knots(self.n_e, self.p)
-        a = knots[self.p + e]
-        b = knots[self.p + e + 1]
-        x = a + (b - a) * (xi + 1.0) / 2.0
-        V, D = bspline_eval(knots, self.p, self.p + e, x)
-        return V, D * (b - a)[..., None] / 2.0
+        # In knot spacings from the element's left knot the knots are small
+        # integers, exact, so elements at the same distance from the
+        # boundary (one signature) get bitwise equal values.
+        knots = open_uniform_knots(self.n_e, self.p, 0.0, float(self.n_e))
+        V, D = bspline_eval(knots - e[..., None], self.p, self.p + e,
+                            (xi + 1.0) / 2.0)
+        return V, D / 2.0

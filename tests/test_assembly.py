@@ -542,9 +542,8 @@ def nine_contraction_k(tensor, x):
     n1 = tensor.m1.shape[0]
     P = x.reshape(n1, n1, n1)
     m, k = tensor.m1, tensor.k1
-    t = (np.einsum("ia,jb,kc,abc->ijk", k, m, m, P)
-         + np.einsum("ia,jb,kc,abc->ijk", m, k, m, P)
-         + np.einsum("ia,jb,kc,abc->ijk", m, m, k, P))
+    t = sum(np.einsum("ia,jb,kc,abc->ijk", *f, P, optimize=True)
+            for f in ((k, m, m), (m, k, m), (m, m, k)))
     return tensor.rho * tensor.c ** 2 * t.ravel()
 
 
@@ -561,7 +560,8 @@ def test_tensor_operators_match_assembly(p, rho, c):
     assert np.abs(tensor.k_matvec(x) - want).max() <= 1e-12 * np.abs(want).max()
 
 
-@pytest.mark.parametrize("p, n_e", [(2, 3), (3, 3), (6, 2)])
+@pytest.mark.parametrize("p, n_e", [(1, 1), (1, 4), (2, 1), (2, 3), (3, 3),
+                                    (4, 5), (6, 2), (6, 6)])
 def test_tensor_k_matvec_matches_nine_contractions(p, n_e):
     tensor = TensorSystem(bf_grid("lagrange", p, n_e), rho=1.3, c=0.7)
     x = np.random.default_rng(p).standard_normal(tensor.n_dof)

@@ -216,6 +216,22 @@ def test_bspline_element_interfaces_match(p, n_e):
         assert np.abs(D_end[:, 1:] - D_start[:, :-1]).max() < 1e-13 * scale
 
 
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+@pytest.mark.parametrize("n_e", [1, 2, 6, 11])
+def test_bspline_values_equal_within_signature(p, n_e):
+    # Elements at the same distance from the boundary (up to p) carry the
+    # same 1D functions; their values are bitwise equal, not just close.
+    spec = BasisSpec(family="bspline", p=p, n_e=n_e)
+    e = np.arange(n_e)
+    key = np.minimum(e, p) * (p + 1) + np.minimum(n_e - 1 - e, p)
+    xi = np.concatenate([[-1.0, 1.0], np.random.default_rng(p).uniform(
+        -1.0, 1.0, 17)])
+    V, D = spec.eval_element(e[:, None], xi)
+    for a in range(n_e):
+        for b in np.flatnonzero(key == key[a]):
+            assert np.array_equal(V[a], V[b]) and np.array_equal(D[a], D[b])
+
+
 @pytest.mark.parametrize("family", ["lagrange", "bspline"])
 def test_eval_element_broadcasts(family):
     spec = BasisSpec(family=family, p=3, n_e=5)

@@ -2,6 +2,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from wavecell.assembly import Grid, TensorSystem
+from wavecell.basis import BasisSpec
+from wavecell.geometry import ImmersedGeometry
+from wavecell.linalg import dt_crit, factorize
 from wavecell.timeint import (
     DIVERGENCE_LIMIT,
     DivergenceError,
@@ -80,6 +84,84 @@ def test_cdm_stability_dichotomy():
         cdm_run(M, K, F, step_f, 2.01, 10000, obs_mat=obs)
     assert exc.value.step > 0
     assert exc.value.amplitude > DIVERGENCE_LIMIT
+
+
+def two_step_cdm(M, K, F_s, f_t, dt, n_t, obs_mat):
+    """Reference central difference loop: a fresh vector per operation and
+    the load inside the mass solve, psi_new = 2 psi - psi_prev +
+    dt^2 M^-1 (f_t(t_k) F_s - K psi)."""
+    fac = factorize(M)
+    psi = np.zeros(M.shape[0])
+    psi_prev = (0.5 * dt * dt) * fac.solve(f_t(0.0) * F_s)
+    obs = [obs_mat @ psi]
+    for k in range(n_t):
+        rhs = f_t(k * dt) * F_s - K @ psi
+        psi, psi_prev = 2.0 * psi - psi_prev + (dt * dt) * fac.solve(rhs), psi
+        obs.append(obs_mat @ psi)
+        amp = float(np.max(np.abs(psi)))
+        if not np.isfinite(amp) or amp > DIVERGENCE_LIMIT:
+            raise DivergenceError(k + 1, amp)
+    return psi, np.stack(obs, axis=1)
+
+
+def random_diagonal_system(n=10):
+    rng = np.random.default_rng(6)
+    M = sp.diags(rng.uniform(0.5, 2.0, n)).tocsr()
+    A = rng.standard_normal((n, n))
+    K = sp.csr_matrix(A @ A.T + n * np.eye(n))
+    return M, K, rng.standard_normal(n), sp.identity(n, format="csr")
+
+
+def consistent_bar_system(n_el=8):
+    """Linear bar with the consistent (coupled) mass, free ends."""
+    h = 1.0 / n_el
+    M = np.zeros((n_el + 1, n_el + 1))
+    K = np.zeros((n_el + 1, n_el + 1))
+    for e in range(n_el):
+        M[e:e + 2, e:e + 2] += h / 6.0 * np.array([[2.0, 1.0], [1.0, 2.0]])
+        K[e:e + 2, e:e + 2] += np.array([[1.0, -1.0], [-1.0, 1.0]]) / h
+    F = np.random.default_rng(2).standard_normal(n_el + 1)
+    return (sp.csr_matrix(M), sp.csr_matrix(K), F,
+            sp.identity(n_el + 1, format="csr"))
+
+
+def tensor_system():
+    """Boundary-fitted Lagrange p=3, n_e=3, its stiffness an operator."""
+    geom = ImmersedGeometry.from_angles(0.3, 0.5, (10.0, 10.0, 10.0))
+    grid = Grid.build(geom, BasisSpec(family="lagrange", p=3, n_e=3),
+                      boundary_fitted=True)
+    tensor = TensorSystem(grid, rho=1.3, c=0.7)
+    n = tensor.n_dof
+    F = np.random.default_rng(4).standard_normal(n)
+    obs = sp.csr_matrix(np.eye(n)[::37])
+    return tensor.mass_matrix(), tensor.stiffness_operator(), F, obs
+
+
+@pytest.mark.parametrize("system", [random_diagonal_system,
+                                    consistent_bar_system, tensor_system])
+def test_cdm_matches_two_step_recurrence(system):
+    M, K, F, obs = system()
+    dt = 0.5 * dt_crit(K, M)
+    f = lambda t: np.sin(30.0 * t)
+    r = cdm_run(M, K, F, f, dt, 200, obs_mat=obs)
+    psi, want = two_step_cdm(M, K, F, f, dt, 200, obs)
+    assert np.abs(r.obs - want).max() <= 1e-12 * np.abs(want).max()
+    assert np.abs(r.psi - psi).max() <= 1e-12 * np.abs(psi).max()
+
+
+@pytest.mark.parametrize("f_t", [step_f, lambda t: np.nan], ids=["step", "nan"])
+def test_cdm_divergence_matches_two_step_recurrence(f_t):
+    M, K, F, obs = step_load_system(1.0)  # dt_crit = 2
+    with pytest.raises(DivergenceError) as want:
+        two_step_cdm(M, K, F, f_t, 2.01, 10000, obs)
+    with pytest.raises(DivergenceError) as got:
+        cdm_run(M, K, F, f_t, 2.01, 10000, obs_mat=obs)
+    assert got.value.step == want.value.step
+    if np.isfinite(want.value.amplitude):
+        assert got.value.amplitude == pytest.approx(want.value.amplitude,
+                                                    rel=1e-9)
+    else:
+        assert not np.isfinite(got.value.amplitude)
 
 
 @pytest.mark.parametrize("runner", [cdm_run, newmark_run])
