@@ -6,7 +6,7 @@ from .assembly import (DiscreteSystem, ElementIntegralCache, Grid,
                        SourceSpec, TensorSystem, assemble, ricker,
                        spatial_load)
 from .basis import BasisSpec, gl_rule, gll_rule
-from .geometry import Box, ElementClass, ImmersedGeometry
+from .geometry import ElementClass, ImmersedGeometry
 from .harness import (BenchmarkConfig, BenchmarkReport, build_observers,
                       convergence_study, dof_count, observer_matrix,
                       reference_run, relative_error, run_benchmark,
@@ -22,7 +22,7 @@ from .timeint import (DivergenceError, RunResult, StageTimings, cdm_run,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BasisSpec", "BenchmarkConfig", "BenchmarkReport", "Box",
+    "BasisSpec", "BenchmarkConfig", "BenchmarkReport",
     "DiscreteSystem", "DivergenceError", "ElementClass",
     "ElementIntegralCache", "Grid", "ImmersedGeometry",
     "IndefiniteMatrixError", "RunResult", "SourceSpec",

@@ -36,7 +36,7 @@ import scipy.sparse as sp
 
 from . import geometry
 from .basis import BasisSpec, gl_rule, gll_rule
-from .geometry import Box, ElementClass, ImmersedGeometry, octree_partition
+from .geometry import ElementClass, ImmersedGeometry, octree_partition
 from .stabilization import StabilizationParams, evs_stabilize, hrz_lump, row_sum_lump
 
 DEFAULT_OCTREE_DEPTH = 4
@@ -79,11 +79,11 @@ class DofMap:
 class Grid:
     """Classified Cartesian element grid over the discretization domain.
 
-    In immersed mode the grid covers the extended domain and elements are
-    classified against the rotated cube (with tiny slivers below
-    ``geometry.MIN_VOLUME_FRACTION`` discarded).  In boundary-fitted mode the grid
-    covers the physical cube itself in local coordinates and every element
-    is inside.
+    In immersed mode the grid covers the extended domain, which must hold
+    the whole rotated cube, and elements are classified against the cube
+    (with tiny slivers below ``geometry.MIN_VOLUME_FRACTION`` discarded).
+    In boundary-fitted mode the grid covers the physical cube itself in
+    local coordinates and every element is inside.
     """
 
     geom: ImmersedGeometry
@@ -103,6 +103,11 @@ class Grid:
             h = geom.l_p / n_e
             classes = np.full((n_e,) * 3, ElementClass.INSIDE, dtype=np.int8)
         else:
+            reach = geom.l_p / 2.0 * np.abs(geom.rotation).sum(axis=1)
+            over = np.maximum(reach - geom.center, geom.center + reach - geom.l_e)
+            if over.max() > 0.0:
+                raise ValueError(f"the rotated cube sticks out of the extended "
+                                 f"domain [0, {geom.l_e:g}]^3 by {over.max():.3g}")
             origin = np.zeros(3)
             h = geom.l_e / n_e
             idx = np.arange(n_e)
@@ -114,9 +119,10 @@ class Grid:
         return cls(geom=geom, spec=spec, boundary_fitted=boundary_fitted,
                    origin=origin, h=float(h), classes=classes, kept=kept)
 
-    def element_box(self, ijk) -> Box:
+    def element_box(self, ijk):
+        """Lower and upper corners ``(lo, hi)`` of element ``ijk``."""
         lo = self.origin + np.asarray(ijk, dtype=float) * self.h
-        return Box(lo, lo + self.h)
+        return lo, lo + self.h
 
     def point_alpha_mask(self, x_grid):
         """Whether grid-frame points lie in the physical domain."""
@@ -188,8 +194,8 @@ def _discard_slivers(geom, classes, origin, h):
     margin = geom.l_p / 2.0 - np.max(np.abs(loc), axis=-1)
     suspicious = np.flatnonzero(np.max(margin, axis=1) < margin_needed)
     for s in suspicious:
-        box = Box(lo[s], lo[s] + h)
-        if geom.volume_fraction(box) < geometry.MIN_VOLUME_FRACTION:
+        if (geom.volume_fraction(lo[s], lo[s] + h)
+                < geometry.MIN_VOLUME_FRACTION):
             classes[tuple(cut[s])] = ElementClass.OUTSIDE
 
 
@@ -251,14 +257,14 @@ class _LeafRules:
         split = np.cumsum(np.bincount(o, minlength=lo.shape[0]))[:-1]
         return np.split(ids, split), np.split(leaves.cls, split)
 
-    def points(self, ijk, box: Box, ids: np.ndarray):
+    def points(self, ijk, lo, hi, ids: np.ndarray):
         """Quadrature points of the leaves with interval ids ``ids`` (L, 3)
-        of element ``ijk`` (whose box is ``box``): per direction the basis
-        values (L, q, p+1), the weights (L, q, q, q) in the reference
+        of element ``ijk`` with corners ``lo``, ``hi``: per direction the
+        basis values (L, q, p+1), the weights (L, q, q, q) in the reference
         measure (an uncut element sums to 8) and the points ``coords``."""
         V = [self.tables(int(e))[0][ids[:, d]] for d, e in enumerate(ijk)]
         w = np.einsum("lq,lr,ls->lqrs", *(self.w[ids[:, d]] for d in range(3)))
-        return V, w, self.coords(box.lo, box.hi, ids)
+        return V, w, self.coords(lo, hi, ids)
 
     def factors(self, ijk, depth: int):
         """Outer products w V (x) V and w D (x) D at the Gauss points of the
@@ -433,9 +439,6 @@ class DiscreteSystem:
     K: sp.csr_matrix
     F_s: np.ndarray
     grid: Grid
-    params: StabilizationParams
-    rho: float
-    c: float
 
     @property
     def n_dof(self) -> int:
@@ -507,8 +510,7 @@ def assemble(grid: Grid, params: StabilizationParams, rho: float = 1.0,
                            cache=cache)
     else:
         F_s = np.zeros(n_dof)
-    return DiscreteSystem(M=M, K=K, F_s=F_s, grid=grid, params=params,
-                          rho=rho, c=c)
+    return DiscreteSystem(M=M, K=K, F_s=F_s, grid=grid)
 
 
 def _to_csr(blocks, n_dof):
@@ -747,7 +749,7 @@ def spatial_load(grid: Grid, source: SourceSpec, alpha: float,
     for k in near:
         ids, cls = next(cut_leaves) if grid.kept_cut[k] else whole
         ijk = grid.kept[k]
-        V, w, x = rules.points(ijk, Box(lo[k], hi[k]), ids)
+        V, w, x = rules.points(ijk, lo[k], hi[k], ids)
         inside = np.zeros(w.shape, dtype=bool)
         inside[cls == ElementClass.INSIDE] = True
         cut = cls == ElementClass.CUT

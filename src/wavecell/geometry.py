@@ -8,11 +8,14 @@ cube is ``[-l_p/2, l_p/2]^3``) through a rotation matrix ``T``::
 
     x_global = T @ x_local + center,      x_local = T.T @ (x_global - center)
 
-Axis-aligned boxes (grid elements, octree cells) are classified against the
-rotated cube as inside, outside, or cut.  Classification is exact: a box is
-inside iff all its corners are inside (both are convex), outside iff a
-separating axis exists (SAT over the 15 candidate axes of a box-box pair),
-and cut otherwise.  Cut boxes whose physical volume fraction falls below
+Axis-aligned boxes (grid elements, octree cells) are pairs ``(lo, hi)`` of
+corner arrays, (3,) for one box or (n, 3) for a batch, classified against
+the rotated cube as inside, outside, or cut.  Classification is exact: a
+box is inside iff all its corners are inside (both are convex), outside iff
+a separating axis exists (SAT over the 15 candidate axes of a box-box
+pair), and cut otherwise.  The inside part of a cut box is the convex hull
+of the feasible points where three of the 12 face planes of box and cube
+meet.  Cut boxes whose physical volume fraction falls below
 ``MIN_VOLUME_FRACTION`` carry no resolvable physics at the default octree
 depth and are treated as outside by the mesh layer.
 """
@@ -21,10 +24,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import IntEnum
+from itertools import combinations
 
 import numpy as np
-from scipy.spatial import ConvexHull
-from scipy.spatial import QhullError
+from scipy.spatial import ConvexHull, QhullError
 
 
 # Cut boxes with a physical volume fraction below this are treated as fully
@@ -76,36 +79,9 @@ def cardan_rotation_matrix(angles_deg) -> np.ndarray:
     return _rot_z(psi) @ _rot_y(theta) @ _rot_x(phi)
 
 
-@dataclass(frozen=True)
-class Box:
-    """Axis-aligned box given by its lower and upper corners."""
-
-    lo: np.ndarray
-    hi: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "lo", np.asarray(self.lo, dtype=float))
-        object.__setattr__(self, "hi", np.asarray(self.hi, dtype=float))
-        if np.any(self.hi <= self.lo):
-            raise ValueError("box upper corner must exceed lower corner")
-
-    @property
-    def volume(self) -> float:
-        return float(np.prod(self.hi - self.lo))
-
-    def corners(self) -> np.ndarray:
-        """All 8 corners, shape (8, 3), z fastest."""
-        return _box_corners(self.lo[None, :], self.hi[None, :])[0]
-
-
 _CORNER_UNIT = np.array(
     [[i, j, k] for i in (0, 1) for j in (0, 1) for k in (0, 1)], dtype=float
 )
-
-
-def _box_corners(lo, hi):
-    """Corners of a batch of boxes, shape (n, 8, 3)."""
-    return lo[:, None, :] + _CORNER_UNIT[None, :, :] * (hi - lo)[:, None, :]
 
 
 def _split_octants(lo, hi):
@@ -160,12 +136,12 @@ class ImmersedGeometry:
         object.__setattr__(self, "_sat_axes", np.array(axes))
 
     @classmethod
-    def from_angles(cls, l_p, l_e, angles_deg, center=None) -> "ImmersedGeometry":
-        if center is None:
-            center = np.full(3, l_e / 2.0)
+    def from_angles(cls, l_p, l_e, angles_deg) -> "ImmersedGeometry":
+        """The cube turned by Cardan ``angles_deg`` about the center of
+        the extended domain."""
         return cls(l_p=float(l_p), l_e=float(l_e),
                    rotation=cardan_rotation_matrix(angles_deg),
-                   center=np.asarray(center, dtype=float))
+                   center=np.full(3, l_e / 2.0))
 
     def to_local(self, x) -> np.ndarray:
         """Map global points (..., 3) to cube-centered local coordinates, as
@@ -201,7 +177,8 @@ class ImmersedGeometry:
                 for i in range(0, lo.shape[0], _CLASSIFY_CHUNK)])
         half = self.l_p / 2.0
         T = self.rotation
-        corners_local = (_box_corners(lo, hi) - self.center) @ T
+        corners_local = (lo[:, None, :] + _CORNER_UNIT * (hi - lo)[:, None, :]
+                         - self.center) @ T
         inside = (np.max(np.abs(corners_local), axis=(1, 2)) <= half)
 
         d = 0.5 * (lo + hi) - self.center
@@ -216,86 +193,39 @@ class ImmersedGeometry:
         cls[inside] = ElementClass.INSIDE
         return cls
 
-    def classify_box(self, box: Box) -> ElementClass:
-        return ElementClass(int(self.classify_boxes(box.lo[None], box.hi[None])[0]))
+    def volume_fraction(self, lo, hi) -> float:
+        """Exact fraction of the box ``lo``, ``hi`` (3,) inside the cube.
 
-    def volume_fraction(self, box: Box) -> float:
-        """Exact fraction of the box volume lying inside the physical cube.
-
-        The intersection of two convex polytopes is itself convex; its
-        vertices are corners of either box contained in the other plus the
-        clip points of each box's edges against the other's faces.  The
-        volume then follows from the convex hull of those vertices.
+        In the local frame the intersection is the convex polytope
+        ``N x <= b`` of the 12 face planes of cube and box.  Its vertices
+        are the feasible solutions of the 220 three-plane systems, all the
+        regular ones solved in one batch; its volume is their hull's.
         """
-        cls = self.classify_box(box)
-        if cls == ElementClass.INSIDE:
-            return 1.0
-        if cls == ElementClass.OUTSIDE:
-            return 0.0
-        half = self.l_p / 2.0
-        cube_lo = np.full(3, -half)
-        cube_hi = np.full(3, half)
-
-        pts = []
-        box_local = self.to_local(box.corners())
-        for q in box_local:
-            if np.max(np.abs(q)) <= half + 1e-15:
-                pts.append(q)
-        cube_local = _box_corners(cube_lo[None], cube_hi[None])[0]
-        cube_global = self.to_global(cube_local)
-        eps = 1e-15
-        for qg, ql in zip(cube_global, cube_local):
-            if np.all((qg >= box.lo - eps) & (qg <= box.hi + eps)):
-                pts.append(ql)
-        for a, b in _BOX_EDGES:
-            seg = _clip_segment(box_local[a], box_local[b], cube_lo, cube_hi)
-            if seg is not None:
-                pts.extend(seg)
-        for a, b in _BOX_EDGES:
-            seg = _clip_segment(cube_global[a], cube_global[b], box.lo, box.hi)
-            if seg is not None:
-                pts.extend(self.to_local(np.array(seg)))
-        if len(pts) < 4:
-            return 0.0
-        pts = np.unique(np.round(np.array(pts), 14), axis=0)
-        if len(pts) < 4:
+        lo = np.asarray(lo, dtype=float)
+        hi = np.asarray(hi, dtype=float)
+        cls = self.classify_boxes(lo, hi)[0]
+        if cls != ElementClass.CUT:
+            return float(cls == ElementClass.INSIDE)
+        T = self.rotation
+        N = np.concatenate([np.eye(3), -np.eye(3), T, -T])
+        b = np.concatenate([np.full(6, self.l_p / 2.0), hi - self.center,
+                            self.center - lo])
+        A = N[_PLANE_TRIPLES]
+        regular = np.abs(np.linalg.det(A)) > 1e-12
+        rhs = b[_PLANE_TRIPLES[regular], None]
+        x = np.linalg.solve(A[regular], rhs)[..., 0]
+        x = x[np.all(x @ N.T <= b + 1e-15, axis=1)]
+        if len(x) < 4:
             return 0.0
         try:
-            vol = ConvexHull(pts).volume
-        except QhullError:
-            try:
-                vol = ConvexHull(pts, qhull_options="QJ").volume
-            except QhullError:
-                return 0.0
-        return min(vol / box.volume, 1.0)
+            vol = ConvexHull(x).volume
+        except QhullError:                  # all vertices in one plane
+            return 0.0
+        return min(vol / np.prod(hi - lo), 1.0)
 
 
-# Edge list of the corner ordering produced by _box_corners.
-_BOX_EDGES = [
-    (0, 1), (2, 3), (4, 5), (6, 7),
-    (0, 2), (1, 3), (4, 6), (5, 7),
-    (0, 4), (1, 5), (2, 6), (3, 7),
-]
-
-
-def _clip_segment(p0, p1, lo, hi):
-    """Clip segment p0-p1 to an axis-aligned box (Liang-Barsky)."""
-    d = p1 - p0
-    t0, t1 = 0.0, 1.0
-    for i in range(3):
-        if d[i] == 0.0:
-            if p0[i] < lo[i] or p0[i] > hi[i]:
-                return None
-        else:
-            ta = (lo[i] - p0[i]) / d[i]
-            tb = (hi[i] - p0[i]) / d[i]
-            if ta > tb:
-                ta, tb = tb, ta
-            t0 = max(t0, ta)
-            t1 = min(t1, tb)
-            if t0 > t1:
-                return None
-    return p0 + t0 * d, p0 + t1 * d
+# Every choice of three of the 12 face planes of the cube and a box.
+_PLANE_TRIPLES = np.array(list(combinations(range(12), 3)))
 
 
 @dataclass
@@ -313,13 +243,14 @@ class OctreeLeaves:
         return self.lo.shape[0]
 
 
-def octree_partition(geom: ImmersedGeometry, box, max_depth: int) -> OctreeLeaves:
+def octree_partition(geom: ImmersedGeometry, boxes,
+                     max_depth: int) -> OctreeLeaves:
     """Partition boxes by recursive octasection of their cut children, with
     one classification call per depth level for all boxes together.
 
-    ``box`` is one :class:`Box` or a pair ``(lo, hi)`` of corner arrays of
-    shape (n, 3).  Inside and outside boxes become leaves immediately; cut
-    boxes are subdivided until ``max_depth``, where the remaining cut
+    ``boxes`` is the pair ``(lo, hi)`` of corner arrays, of shape (n, 3) or
+    (3,) for one box.  Inside and outside boxes become leaves immediately;
+    cut boxes are subdivided until ``max_depth``, where the remaining cut
     leaves are kept as such (their quadrature points are classified
     individually by the caller).  ``max_depth = 0`` returns the boxes
     themselves.  Each box's leaves are listed by depth, children in octant
@@ -327,7 +258,7 @@ def octree_partition(geom: ImmersedGeometry, box, max_depth: int) -> OctreeLeave
     """
     if max_depth < 0:
         raise ValueError("max_depth must be >= 0")
-    lo, hi = (box.lo, box.hi) if isinstance(box, Box) else box
+    lo, hi = boxes
     lo = np.asarray(lo, dtype=float).reshape(-1, 3)
     hi = np.asarray(hi, dtype=float).reshape(-1, 3)
     owner = np.arange(lo.shape[0])

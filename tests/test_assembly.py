@@ -16,7 +16,7 @@ from wavecell.assembly import (
     spatial_load,
 )
 from wavecell.basis import BasisSpec, gl_rule
-from wavecell.geometry import (Box, ElementClass, ImmersedGeometry,
+from wavecell.geometry import (ElementClass, ImmersedGeometry,
                                octree_partition)
 from wavecell.harness import BenchmarkConfig
 from wavecell.linalg import factorize
@@ -37,11 +37,12 @@ def octree_points(geom, box, q, max_depth):
     whether each point is inside: the leaf class for inside and outside
     leaves, a per-point test for leaves still cut at ``max_depth``.
     """
+    lo, hi = box
     leaves = octree_partition(geom, box, max_depth)
     g = gl_rule(q)
-    size = box.hi - box.lo
-    A = 2.0 * (leaves.lo - box.lo) / size - 1.0
-    B = 2.0 * (leaves.hi - box.lo) / size - 1.0
+    size = hi - lo
+    A = 2.0 * (leaves.lo - lo) / size - 1.0
+    B = 2.0 * (leaves.hi - lo) / size - 1.0
     nodes = A[:, :, None] + (B - A)[:, :, None] * (g.nodes + 1.0) / 2.0
     wts = g.weights * (B - A)[:, :, None] / 2.0          # (L, 3, q)
     # leaf-major, then x, y, z points, z fastest
@@ -52,7 +53,7 @@ def octree_points(geom, box, q, max_depth):
          * wts[:, 2, None, None, :]).ravel()
     cls = np.repeat(leaves.cls, q**3)
     inside = np.where(cls == ElementClass.CUT,
-                      geom.contains(box.lo + (xi + 1.0) / 2.0 * size),
+                      geom.contains(lo + (xi + 1.0) / 2.0 * size),
                       cls == ElementClass.INSIDE)
     return xi, w, inside
 
@@ -209,12 +210,12 @@ def test_cut_element_against_flat_quadrature_loop(small_grid, small_cache):
     F_ref = np.zeros(grid.n_dof)
     near_cut = 0
     for ijk in grid.kept:
-        box = grid.element_box(ijk)
-        if np.linalg.norm(np.clip(src, box.lo, box.hi) - src) > 14.0 * source.sigma:
+        lo, hi = box = grid.element_box(ijk)
+        if np.linalg.norm(np.clip(src, lo, hi) - src) > 14.0 * source.sigma:
             continue
         near_cut += int(grid.classes[tuple(ijk)] == ElementClass.CUT)
         xi, w, inside = octree_points(grid.geom, box, q, small_cache.octree_depth)
-        x = box.lo + (xi + 1.0) / 2.0 * (box.hi - box.lo)
+        x = lo + (xi + 1.0) / 2.0 * (hi - lo)
         f = gaussian(source, grid.geom.to_local(x))
         N, _ = point_tables(grid, ijk, xi)
         weights = rho * (grid.h / 2.0) ** 3 * w * np.where(inside, 1.0, alpha) * f
@@ -270,10 +271,11 @@ def inside_part_by_points(grid, ijk, depth):
 
 
 def one_cut_element(geom, box, family, p):
-    """Grid whose only element is the cube ``box``, classified cut."""
+    """Grid whose only element is the cube ``box`` = (lo, hi), classified
+    cut."""
+    lo, hi = box
     return Grid(geom=geom, spec=BasisSpec(family=family, p=p, n_e=1),
-                boundary_fitted=False, origin=box.lo,
-                h=float(box.hi[0] - box.lo[0]),
+                boundary_fitted=False, origin=lo, h=float(hi[0] - lo[0]),
                 classes=np.full((1, 1, 1), ElementClass.CUT, dtype=np.int8),
                 kept=np.zeros((1, 3), dtype=int))
 
@@ -299,7 +301,7 @@ def test_cut_kernel_against_point_sum(benchmark_geometry, family, p, depth):
     # Only inside leaves: an inside box that is classified cut stays one
     # inside leaf, and its inside part is the whole element.
     geom = ImmersedGeometry.from_angles(0.3, 0.5, (0.0, 0.0, 0.0))
-    box = Box(np.full(3, 0.24), np.full(3, 0.26))
+    box = (np.full(3, 0.24), np.full(3, 0.26))
     one = one_cut_element(geom, box, family, p)
     assert (octree_partition(geom, box, depth).cls == ElementClass.INSIDE).all()
     cache = ElementIntegralCache(one, octree_depth=depth)
@@ -310,7 +312,7 @@ def test_cut_kernel_against_point_sum(benchmark_geometry, family, p, depth):
     # Pointwise leaves whose points are all outside: the box overlaps the
     # cube (face x = 0.4) in a slab thinner than the distance from a leaf
     # face to its first Gauss point, so the inside part is exactly zero.
-    box = Box(np.array([0.3998, 0.2, 0.2]), np.array([0.4998, 0.3, 0.3]))
+    box = (np.array([0.3998, 0.2, 0.2]), np.array([0.4998, 0.3, 0.3]))
     one = one_cut_element(geom, box, family, p)
     assert (octree_partition(geom, box, depth).cls == ElementClass.CUT).any()
     _, _, inside = octree_points(geom, box, p + 1, depth)
@@ -426,7 +428,8 @@ def test_spatial_load_on_cache_leaves_is_bitwise_equal(small_grid,
 
 def reference_leaf_ids(offsets, box, leaves):
     """Flat dyadic interval ids (L, 3) of the octree leaves of ``box``."""
-    pos = np.rint((leaves.lo - box.lo) / (box.hi - box.lo)
+    lo, hi = box
+    pos = np.rint((leaves.lo - lo) / (hi - lo)
                   * 2.0 ** leaves.depth[:, None]).astype(int)
     return offsets[leaves.depth][:, None] + pos
 
@@ -441,13 +444,13 @@ def reference_load(grid, source, alpha, depth, rho):
     F = np.zeros(grid.n_dof)
     for ijk, cut in zip(grid.kept, grid.kept_cut):
         box = grid.element_box(ijk)
-        if np.linalg.norm(np.clip(src, box.lo, box.hi) - src) > 14.0 * source.sigma:
+        if np.linalg.norm(np.clip(src, *box) - src) > 14.0 * source.sigma:
             continue
         ids = np.zeros((1, 3), dtype=int)
         if cut:
             ids = reference_leaf_ids(rules.offsets, box,
                                      octree_partition(grid.geom, box, depth))
-        V, w, x = rules.points(ijk, box, ids)
+        V, w, x = rules.points(ijk, *box, ids)
         a_fcm = np.where(grid.point_alpha_mask(x), 1.0, alpha)
         f = np.exp(-0.5 * np.sum((x - src) ** 2, axis=-1) / source.sigma**2)
         weights = rho * (grid.h / 2.0) ** 3 * w * a_fcm * f
@@ -669,6 +672,23 @@ def test_benchmark_source_placement():
     src = BenchmarkConfig(l_p=0.3).source()
     assert src.x_local == (-0.15, 0.0, 0.0)
     assert src.sigma == 0.01
+
+
+@pytest.mark.parametrize("angles", [(0.0, 45.0, 45.0)] + [
+    tuple(np.random.default_rng(seed).uniform(-180.0, 180.0, 3))
+    for seed in (6, 7)])
+def test_grid_rejects_cube_sticking_out_of_extended_domain(angles):
+    # l_p sqrt(3) / 2 > l_e / 2, so these rotations turn part of the cube
+    # out of [0, l_e]^3, where no immersed element could hold it.
+    spec = BasisSpec(family="lagrange", p=1, n_e=4)
+    geom = ImmersedGeometry.from_angles(0.3, 0.5, angles)
+    over = (0.15 * np.abs(geom.rotation).sum(axis=1) - 0.25).max()
+    assert over > 0.0
+    with pytest.raises(ValueError, match=f"sticks out .* by {over:.3g}"):
+        Grid.build(geom, spec)
+    # a boundary-fitted grid covers the cube itself, and a smaller cube fits
+    assert Grid.build(geom, spec, boundary_fitted=True).n_kept == 64
+    Grid.build(ImmersedGeometry.from_angles(0.28, 0.5, angles), spec)
 
 
 @pytest.mark.parametrize("family", ["lagrange", "bspline"])

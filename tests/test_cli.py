@@ -97,6 +97,15 @@ def test_unknown_config_section_exits_1(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_cube_outside_extended_domain_exits_1(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, angles_deg=(0.0, 45.0, 45.0), n_t=5,
+                            **TINY)
+    assert main(["run", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "sticks out" in err
+
+
 def test_missing_config_file_exits_1(tmp_path, capsys):
     assert main(["dofs", "--config", str(tmp_path / "nope.json")]) == 1
     assert "config error" in capsys.readouterr().err

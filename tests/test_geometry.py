@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from wavecell import geometry
-from wavecell.geometry import (Box, ElementClass, ImmersedGeometry,
+from wavecell.geometry import (ElementClass, ImmersedGeometry,
                                cardan_rotation_matrix, octree_partition)
 
 
@@ -82,13 +82,11 @@ def test_contains_closed_cube(benchmark_geometry):
 
 def test_classify_box_cases(benchmark_geometry):
     g = benchmark_geometry
-    tiny = Box(g.center - 1e-3, g.center + 1e-3)
-    assert g.classify_box(tiny) == ElementClass.INSIDE
-    far = Box(np.array([0.49, 0.49, 0.49]), np.array([0.5, 0.5, 0.5]))
-    assert g.classify_box(far) == ElementClass.OUTSIDE
     face_pt = g.to_global([g.l_p / 2.0, 0.0, 0.0])
-    straddle = Box(face_pt - 0.01, face_pt + 0.01)
-    assert g.classify_box(straddle) == ElementClass.CUT
+    lo = np.array([g.center - 1e-3, [0.49, 0.49, 0.49], face_pt - 0.01])
+    hi = np.array([g.center + 1e-3, [0.5, 0.5, 0.5], face_pt + 0.01])
+    assert list(g.classify_boxes(lo, hi)) == [
+        ElementClass.INSIDE, ElementClass.OUTSIDE, ElementClass.CUT]
 
 
 def test_classify_box_agrees_with_point_on_degenerate_boxes(benchmark_geometry):
@@ -97,8 +95,7 @@ def test_classify_box_agrees_with_point_on_degenerate_boxes(benchmark_geometry):
     for _ in range(200):
         x = rng.uniform(0.0, 0.5, size=3)
         eps = 1e-9
-        b = Box(x - eps, x + eps)
-        klass = g.classify_box(b)
+        klass = g.classify_boxes(x - eps, x + eps)[0]
         if klass == ElementClass.CUT:
             continue  # the point sits within eps of the boundary
         assert (klass == ElementClass.INSIDE) == bool(g.contains(x))
@@ -118,7 +115,7 @@ def test_sat_against_dense_sampling(benchmark_geometry):
     for _ in range(100):
         lo = rng.uniform(0.0, 0.45, size=3)
         hi = lo + rng.uniform(0.01, 0.1, size=3)
-        klass = g.classify_box(Box(lo, hi))
+        klass = g.classify_boxes(lo, hi)[0]
         inside = g.contains(lo + unit * (hi - lo))
         if klass == ElementClass.INSIDE:
             assert inside.all()
@@ -132,17 +129,17 @@ def test_sat_against_dense_sampling(benchmark_geometry):
 
 def test_octree_inside_box_single_leaf(benchmark_geometry):
     g = benchmark_geometry
-    b = Box(g.center - 5e-3, g.center + 5e-3)
-    leaves = octree_partition(g, b, max_depth=3)
+    lo, hi = g.center - 5e-3, g.center + 5e-3
+    leaves = octree_partition(g, (lo, hi), max_depth=3)
     assert len(leaves) == 1
     assert ElementClass(int(leaves.cls[0])) == ElementClass.INSIDE
-    assert np.allclose(leaves.lo[0], b.lo) and np.allclose(leaves.hi[0], b.hi)
+    assert np.allclose(leaves.lo[0], lo) and np.allclose(leaves.hi[0], hi)
 
 
 def test_octree_cut_box_depths(benchmark_geometry):
     g = benchmark_geometry
     face_pt = g.to_global([g.l_p / 2.0, 0.0, 0.0])
-    b = Box(face_pt - 0.02, face_pt + 0.02)
+    b = (face_pt - 0.02, face_pt + 0.02)
     assert len(octree_partition(g, b, max_depth=0)) == 1
     leaves = octree_partition(g, b, max_depth=1)
     assert len(leaves) == 8
@@ -152,10 +149,11 @@ def test_octree_cut_box_depths(benchmark_geometry):
 def test_octree_leaves_tile_parent(benchmark_geometry, depth):
     g = benchmark_geometry
     face_pt = g.to_global([g.l_p / 2.0, 0.0, 0.0])
-    b = Box(face_pt - 0.02, face_pt + 0.02)
+    b = (face_pt - 0.02, face_pt + 0.02)
     leaves = octree_partition(g, b, max_depth=depth)
     vols = np.prod(leaves.hi - leaves.lo, axis=1)
-    assert abs(vols.sum() - b.volume) <= 1e-12 * b.volume
+    vol = 0.04 ** 3
+    assert abs(vols.sum() - vol) <= 1e-12 * vol
     # only cut leaves may remain subdivided; inside/outside leaves are
     # never smaller than their first uncut ancestor
     assert (vols > 0.0).all()
@@ -164,14 +162,40 @@ def test_octree_leaves_tile_parent(benchmark_geometry, depth):
 def test_volume_fraction_on_plane_cut():
     g = ImmersedGeometry.from_angles(0.3, 0.5, (0.0, 0.0, 0.0))
     # cube face at x = 0.40; box covers 40% inside
-    b = Box(np.array([0.36, 0.2, 0.2]), np.array([0.46, 0.3, 0.3]))
-    assert abs(g.volume_fraction(b) - 0.4) < 1e-12
+    lo, hi = np.array([0.36, 0.2, 0.2]), np.array([0.46, 0.3, 0.3])
+    assert abs(g.volume_fraction(lo, hi) - 0.4) < 1e-12
+
+
+# Rotations whose cube fits the extended domain [0, 0.5]^3: the benchmark,
+# two degenerate ones, and seeded draws.
+FITTING_ANGLES = [(10.0, 10.0, 10.0), (0.0, 0.0, 0.0), (45.0, 0.0, 0.0)] + [
+    tuple(np.random.default_rng(seed).uniform(-180.0, 180.0, 3))
+    for seed in (0, 1, 2, 3)]
+
+
+@pytest.mark.parametrize("n_e", [4, 6, 13])
+@pytest.mark.parametrize("angles", FITTING_ANGLES)
+def test_volume_fractions_sum_to_cube_volume(angles, n_e):
+    # Inside elements count 1 and cut elements their volume fraction: the
+    # grid then holds the whole cube, whatever the rotation.  At n_e = 6
+    # a cut element's fraction is also the mean of its octants'.
+    g = ImmersedGeometry.from_angles(0.3, 0.5, angles)
+    lo, hi = element_boxes(0.5, n_e)
+    cls = g.classify_boxes(lo, hi)
+    cut = np.flatnonzero(cls == ElementClass.CUT)
+    frac = np.array([g.volume_fraction(lo[i], hi[i]) for i in cut])
+    total = (0.5 / n_e) ** 3 * (np.sum(cls == ElementClass.INSIDE) + frac.sum())
+    assert abs(total - g.l_p ** 3) <= 1e-14 * g.l_p ** 3
+    if n_e == 6:
+        lo8, hi8 = geometry._split_octants(lo[cut], hi[cut])
+        octants = np.array([g.volume_fraction(l, u) for l, u in zip(lo8, hi8)])
+        assert np.abs(octants.reshape(-1, 8).mean(axis=1) - frac).max() <= 1e-14
 
 
 def reference_partition(g, box, max_depth):
     """One box, level by level: settled boxes of each depth in order, the
     cut ones split into their octants (z fastest) for the next depth."""
-    lo, hi = box.lo[None], box.hi[None]
+    lo, hi = (a[None] for a in box)
     leaves = []
     for depth in range(max_depth + 1):
         cls = g.classify_boxes(lo, hi)
@@ -220,8 +244,8 @@ def test_batched_partition_equals_per_box_loop(angles):
     for depth in range(5):
         batched = octree_partition(g, (lo, hi), depth)
         for b, (l, u) in enumerate(zip(lo, hi)):
-            ref = reference_partition(g, Box(l, u), depth)
-            single = octree_partition(g, Box(l, u), depth)
+            ref = reference_partition(g, (l, u), depth)
+            single = octree_partition(g, (l, u), depth)
             mine = batched.owner == b
             assert mine.sum() == len(ref) == len(single)
             for leaves in (single, OctreeView(batched, mine)):

@@ -13,7 +13,7 @@ import pytest
 from wavecell.assembly import (ElementIntegralCache, Grid, SourceSpec,
                                spatial_load)
 from wavecell.basis import BasisSpec, gl_rule
-from wavecell.geometry import Box, ElementClass, ImmersedGeometry
+from wavecell.geometry import ElementClass, ImmersedGeometry
 
 ORIGIN = (0, 0, 0)
 
@@ -27,10 +27,11 @@ def axis_aligned_geometry():
 
 
 def one_element_grid(geom, box, p=2, klass=ElementClass.CUT):
-    """Grid whose only element is the cube ``box``, classified ``klass``."""
+    """Grid whose only element is the cube ``box`` = (lo, hi), classified
+    ``klass``."""
+    lo, hi = box
     return Grid(geom=geom, spec=BasisSpec(family="lagrange", p=p, n_e=1),
-                boundary_fitted=False, origin=box.lo,
-                h=float(box.hi[0] - box.lo[0]),
+                boundary_fitted=False, origin=lo, h=float(hi[0] - lo[0]),
                 classes=np.full((1, 1, 1), klass, dtype=np.int8),
                 kept=np.zeros((1, 3), dtype=int))
 
@@ -43,8 +44,8 @@ def inside_volume(geom, box, depth):
 
 def inside_box():
     g = axis_aligned_geometry()
-    b = Box(np.array([0.24, 0.24, 0.24]), np.array([0.26, 0.26, 0.26]))
-    assert g.classify_box(b) == ElementClass.INSIDE
+    b = (np.array([0.24, 0.24, 0.24]), np.array([0.26, 0.26, 0.26]))
+    assert g.classify_boxes(*b)[0] == ElementClass.INSIDE
     return g, b
 
 
@@ -85,8 +86,8 @@ def test_cut_rule_on_inside_element_reduces_to_tensor():
 
 def test_cut_rule_on_outside_element_scales_by_alpha():
     g = axis_aligned_geometry()
-    b = Box(np.array([0.01, 0.01, 0.01]), np.array([0.05, 0.05, 0.05]))
-    assert g.classify_box(b) == ElementClass.OUTSIDE
+    b = (np.array([0.01, 0.01, 0.01]), np.array([0.05, 0.05, 0.05]))
+    assert g.classify_boxes(*b)[0] == ElementClass.OUTSIDE
     grid = one_element_grid(g, b)
     cache = ElementIntegralCache(grid, octree_depth=4)
     assert cache.M_in.shape[0] == 1
@@ -104,7 +105,7 @@ def test_cut_rule_weights_tile_reference_volume():
     # weighted load sums to V_in + alpha (8 - V_in) in reference measure.
     g = ImmersedGeometry.from_angles(0.3, 0.5, (10.0, 10.0, 10.0))
     face_pt = g.to_global([0.15, 0.0, 0.0])
-    b = Box(face_pt - 0.02, face_pt + 0.02)
+    b = (face_pt - 0.02, face_pt + 0.02)
     grid = one_element_grid(g, b)
     ref = (grid.h / 2.0) ** 3
     alpha = 1e-8
@@ -122,8 +123,8 @@ def test_half_cut_element_indicator_volume():
     # of the rotation (central symmetry), so the inside volume -> 4.
     g = ImmersedGeometry.from_angles(0.3, 0.5, (10.0, 10.0, 10.0))
     face_pt = g.to_global([0.15, 0.0, 0.0])
-    b = Box(face_pt - 0.025, face_pt + 0.025)
-    assert g.classify_box(b) == ElementClass.CUT
+    b = (face_pt - 0.025, face_pt + 0.025)
+    assert g.classify_boxes(*b)[0] == ElementClass.CUT
     assert abs(inside_volume(g, b, 4) - 4.0) < 0.05
 
 
@@ -134,7 +135,7 @@ def test_indicator_volume_error_halves_per_depth():
     g = axis_aligned_geometry()
     W = 0.1
     a = 0.4 - W / 3.0  # cube face at x = 0.40
-    b = Box(np.array([a, 0.2, 0.2]), np.array([a + W, 0.3, 0.3]))
+    b = (np.array([a, 0.2, 0.2]), np.array([a + W, 0.3, 0.3]))
     true = 8.0 / 3.0
     errs = [abs(inside_volume(g, b, depth) - true) for depth in range(6)]
     for e0, e1 in zip(errs[:-1], errs[1:]):
@@ -144,8 +145,8 @@ def test_indicator_volume_error_halves_per_depth():
 def test_indicator_volume_monotone_toward_volume_fraction():
     g = ImmersedGeometry.from_angles(0.3, 0.5, (10.0, 10.0, 10.0))
     face_pt = g.to_global([0.15, 0.02, -0.03])
-    b = Box(face_pt - 0.02, face_pt + 0.02)
-    target = 8.0 * g.volume_fraction(b)
+    b = (face_pt - 0.02, face_pt + 0.02)
+    target = 8.0 * g.volume_fraction(*b)
     errs = [abs(inside_volume(g, b, d) - target) for d in range(6)]
     assert errs[-1] < errs[0]
     assert errs[-1] < 0.01
@@ -159,7 +160,7 @@ def test_cache_inside_volume_converges_to_volume_fraction(benchmark_geometry):
     grid = Grid.build(benchmark_geometry,
                       BasisSpec(family="lagrange", p=1, n_e=6))
     cut = grid.kept[grid.kept_cut]
-    exact = np.array([8.0 * grid.geom.volume_fraction(grid.element_box(ijk))
+    exact = np.array([8.0 * grid.geom.volume_fraction(*grid.element_box(ijk))
                       for ijk in cut])
     errs = np.array([
         np.abs(ElementIntegralCache(grid, octree_depth=d).M_in.sum(axis=(1, 2))
@@ -172,7 +173,7 @@ def test_cache_inside_volume_converges_to_volume_fraction(benchmark_geometry):
 
 def test_cut_rule_rejects_bad_alpha():
     g = axis_aligned_geometry()
-    b = Box(np.array([0.35, 0.2, 0.2]), np.array([0.45, 0.3, 0.3]))
+    b = (np.array([0.35, 0.2, 0.2]), np.array([0.45, 0.3, 0.3]))
     grid = one_element_grid(g, b)
     for alpha in (0.0, 1.5):
         with pytest.raises(ValueError):
@@ -183,14 +184,15 @@ def test_max_depth_leaves_classify_pointwise():
     # at depth 0 a cut element is one leaf; every quadrature point gets
     # its own indicator value, in the cache and in the load
     g = axis_aligned_geometry()
-    b = Box(np.array([0.35, 0.2, 0.2]), np.array([0.45, 0.3, 0.3]))
+    b = (np.array([0.35, 0.2, 0.2]), np.array([0.45, 0.3, 0.3]))
     grid = one_element_grid(g, b, p=3)
     alpha = 1e-6
     rule = gl_rule(4)
     X, Y, Z = np.meshgrid(rule.nodes, rule.nodes, rule.nodes, indexing="ij")
     xi = np.stack([X, Y, Z], axis=-1).reshape(-1, 3)
     w = np.einsum("i,j,k->ijk", rule.weights, rule.weights, rule.weights).ravel()
-    inside = g.contains(b.lo + (xi + 1.0) / 2.0 * (b.hi - b.lo))
+    lo, hi = b
+    inside = g.contains(lo + (xi + 1.0) / 2.0 * (hi - lo))
     assert inside.any() and not inside.all()
     V = [grid.spec.eval_element(0, xi[:, d])[0] for d in range(3)]
     N = np.einsum("qa,qb,qc->qabc", *V).reshape(len(w), -1)
