@@ -11,8 +11,7 @@ from .harness import (BenchmarkConfig, BenchmarkReport, build_observers,
                       convergence_study, dof_count, observer_matrix,
                       reference_run, relative_error, run_benchmark,
                       sample_observers, timing_study)
-from .linalg import (IndefiniteMatrixError, dt_crit, factorize, max_gen_eig,
-                     save_matrix_market)
+from .linalg import IndefiniteMatrixError, dt_crit, factorize, max_gen_eig
 from .stabilization import (StabilizationParams, evs_stabilize, hrz_lump,
                             row_sum_lump)
 from .timeint import (DivergenceError, RunResult, StageTimings, cdm_run,
@@ -32,6 +31,6 @@ __all__ = [
     "gll_rule", "hrz_lump", "imex_critical_time_step", "imex_run",
     "max_gen_eig", "newmark_run", "observer_matrix",
     "reference_run", "relative_error", "ricker", "row_sum_lump",
-    "run_benchmark", "sample_observers", "save_matrix_market", "select_dt",
+    "run_benchmark", "sample_observers", "select_dt",
     "spatial_load", "timing_study",
 ]

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
+import scipy.special
 
 
 @dataclass(frozen=True)
@@ -44,48 +45,21 @@ def gl_rule(q: int) -> Rule1D:
     return Rule1D(nodes=x, weights=w)
 
 
-def _legendre_and_deriv(p, x):
-    """Legendre polynomial P_p and its derivative at points x (recurrence)."""
-    x = np.asarray(x, dtype=float)
-    P_prev = np.ones_like(x)
-    P = x.copy()
-    for n in range(1, p):
-        P_prev, P = P, ((2 * n + 1) * x * P - n * P_prev) / (n + 1)
-    denom = x * x - 1.0
-    at_end = denom == 0.0
-    dP = np.where(at_end,
-                  np.sign(x) ** (p - 1) * (0.5 * p * (p + 1)),
-                  p * (x * P - P_prev) / np.where(at_end, 1.0, denom))
-    return P, dP
-
-
 @cache
 def gll_rule(p: int) -> Rule1D:
     """Gauss-Lobatto-Legendre rule with p+1 points (endpoints included).
 
-    Interior nodes are the roots of P_p', found by Newton iteration from
-    Chebyshev-Lobatto initial guesses; weights are 2 / (p (p+1) P_p(x)^2).
-    Closed forms are used for p <= 2.  Memoized per degree.
+    Interior nodes are the roots of P_p', which are the Gauss-Jacobi nodes
+    for alpha = beta = 1 (antisymmetric to the bit); weights are
+    2 / (p (p+1) P_p(x)^2).  Memoized per degree.
     """
     if p < 1:
         raise ValueError("GLL rule needs polynomial degree >= 1")
-    if p == 1:
-        return Rule1D(nodes=np.array([-1.0, 1.0]), weights=np.array([1.0, 1.0]))
-    if p == 2:
-        return Rule1D(nodes=np.array([-1.0, 0.0, 1.0]),
-                      weights=np.array([1.0, 4.0, 1.0]) / 3.0)
-    x = -np.cos(np.pi * np.arange(1, p) / p)
-    for _ in range(100):
-        P, dP = _legendre_and_deriv(p, x)
-        # Newton on f = (1-x^2) P_p'; Legendre's ODE gives f' = -p(p+1) P_p.
-        dx = -(1.0 - x * x) * dP / (p * (p + 1) * P)
-        x = x - dx
-        if np.max(np.abs(dx)) < 1e-15:
-            break
-    nodes = np.concatenate(([-1.0], x, [1.0]))
-    P, _ = _legendre_and_deriv(p, nodes)
-    weights = 2.0 / (p * (p + 1) * P * P)
-    return Rule1D(nodes=nodes, weights=weights)
+    interior = scipy.special.roots_jacobi(p - 1, 1.0, 1.0)[0] if p > 1 else []
+    P = np.polynomial.legendre.legval(interior, np.eye(p + 1)[p])
+    P2 = np.concatenate(([1.0], P * P, [1.0]))      # P_p(+-1)^2 = 1
+    return Rule1D(nodes=np.concatenate(([-1.0], interior, [1.0])),
+                  weights=2.0 / (p * (p + 1) * P2))
 
 
 def lagrange_eval(nodes, x):
@@ -122,44 +96,25 @@ def lagrange_eval(nodes, x):
     return V, D
 
 
-def open_uniform_knots(n_e: int, p: int, a: float = 0.0, b: float = 1.0) -> np.ndarray:
-    """Open uniform knot vector with ``n_e`` spans on [a, b], degree ``p``.
+def bspline_eval(window, x):
+    """B-spline basis values and derivatives on one knot span.
 
-    End knots repeat p+1 times; interior knots are simple, giving C^(p-1)
-    continuity and ``n_e + p`` basis functions.
-    """
-    if n_e < 1 or p < 1:
-        raise ValueError("need n_e >= 1 and p >= 1")
-    if not b > a:
-        raise ValueError("need b > a")
-    interior = a + (b - a) * np.arange(1, n_e) / n_e
-    return np.concatenate((np.full(p + 1, a), interior, np.full(p + 1, b)))
-
-
-def bspline_eval(knots, p, span, x):
-    """B-spline basis values and derivatives on known knot spans.
-
-    Uses the Cox-de Boor recursion on the ``p+1`` functions supported on
-    knot span ``span`` (``knots[span] <= x <= knots[span + 1]``).  ``span``
-    and ``x`` broadcast against each other, and against the leading axes
-    of ``knots`` when it has more than one (a knot vector per point).
-    Each point is evaluated as the polynomial of its span, so the end
-    points of a span give that span's one-sided limits.
+    ``window`` holds the 2p knots ``t[s-p+1], ..., t[s+p]`` around the span
+    ``[t[s], t[s+1]] = [window[p-1], window[p]]``: all that the Cox-de Boor
+    recursion reads for the p+1 functions supported on the span.  Its
+    leading axes broadcast against ``x``.  Each point is evaluated as the
+    polynomial of the span, so the span's end points give its one-sided
+    limits.
 
     Returns
     -------
-    V, D : ndarray, shape ``broadcast(span, x).shape + (p+1,)``
-        Values and first derivatives of the functions ``span - p, ...,
-        span``.
+    V, D : ndarray, shape ``broadcast(window[..., 0], x).shape + (p+1,)``
+        Values and first derivatives of the functions ``s - p, ..., s``.
     """
-    knots = np.asarray(knots, dtype=float)
+    window = np.asarray(window, dtype=float)
+    p = window.shape[-1] // 2
     x = np.asarray(x, dtype=float)
-    shape = np.broadcast_shapes(np.shape(span), x.shape, knots.shape[:-1])
-    span, x = np.broadcast_to(span, shape), np.broadcast_to(x, shape)
-    knots = np.broadcast_to(knots, shape + knots.shape[-1:])
-    # knots[span - p + 1 : span + p + 1], all the recursion reads.
-    window = np.take_along_axis(
-        knots, span[..., None] + np.arange(1 - p, p + 1), axis=-1)
+    x = np.broadcast_to(x, np.broadcast_shapes(window.shape[:-1], x.shape))
     N = np.zeros(x.shape + (p + 1,))
     N[..., 0] = 1.0
     D = np.zeros(x.shape + (p + 1,))
@@ -223,8 +178,10 @@ class BasisSpec:
         ``e`` and ``xi`` broadcast against each other; both results have
         shape ``broadcast(e, xi).shape + (p+1,)``.  ``xi`` lives on
         [-1, 1]; derivatives are with respect to xi.  B-splines live on the
-        open uniform knot vector over [0, 1]; xi = -1 and +1 give the
-        element's own polynomial, never a neighbor's.
+        open uniform knot vector of the n_e elements (end knots repeated
+        p+1 times, simple interior knots); element ``e`` reads only its
+        window of 2p knots, computed in closed form.  xi = -1 and +1 give
+        the element's own polynomial, never a neighbor's.
         """
         e = np.asarray(e)
         xi = np.asarray(xi, dtype=float)
@@ -232,10 +189,11 @@ class BasisSpec:
             shape = np.broadcast_shapes(e.shape, xi.shape)
             return lagrange_eval(gll_rule(self.p).nodes,
                                  np.broadcast_to(xi, shape))
-        # In knot spacings from the element's left knot the knots are small
-        # integers, exact, so elements at the same distance from the
-        # boundary (one signature) get bitwise equal values.
-        knots = open_uniform_knots(self.n_e, self.p, 0.0, float(self.n_e))
-        V, D = bspline_eval(knots - e[..., None], self.p, self.p + e,
-                            (xi + 1.0) / 2.0)
+        # Knots in knot spacings from the element's left knot, clipped at
+        # the repeated end knots: small exact integers, so elements at the
+        # same distance from the boundary (one signature) get bitwise equal
+        # values.
+        window = np.clip(np.arange(1 - self.p, self.p + 1), -e[..., None],
+                         self.n_e - e[..., None])
+        V, D = bspline_eval(window, (xi + 1.0) / 2.0)
         return V, D / 2.0

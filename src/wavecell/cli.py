@@ -24,7 +24,7 @@ from .assembly import assemble
 from .harness import (BenchmarkConfig, Grid, convergence_study, dof_count,
                       prepare, reference_run, run_benchmark, sample_observers,
                       timing_study, write_signals_csv, write_study_csv)
-from .linalg import IndefiniteMatrixError, save_matrix_market
+from .linalg import IndefiniteMatrixError
 from .timeint import DivergenceError
 
 _OVERRIDES = ("family", "p", "n_e", "method", "alpha", "epsilon", "lumping",
@@ -77,7 +77,6 @@ def _build_parser():
     p_ref.add_argument("--ref-p", type=int, default=6)
     p_ref.add_argument("--ref-n-e", type=int, default=6)
     p_ref.add_argument("--ref-dt", type=float, default=1.0e-4)
-    p_ref.add_argument("--n-s", dest="n_s", type=int, default=10000)
     return parser
 
 
@@ -129,9 +128,8 @@ def _cmd_run(cfg, args) -> int:
 def _cmd_reference(cfg, args) -> int:
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
-    result = reference_run(p=args.ref_p, n_e=args.ref_n_e, dt=args.ref_dt,
-                           T=cfg.T, l_p=cfg.l_p, f_e=cfg.f_e,
-                           sigma=cfg.sigma, rho=cfg.rho, c=cfg.c)
+    result = reference_run(cfg, p=args.ref_p, n_e=args.ref_n_e,
+                           dt=args.ref_dt)
     write_signals_csv(out / "reference_signals.csv", result.t, result.obs)
     print(f"wrote {out / 'reference_signals.csv'}")
     return 0
@@ -184,8 +182,8 @@ def _cmd_export(cfg, args) -> int:
                       boundary_fitted=cfg.boundary_fitted)
     system = assemble(grid, cfg.stabilization(), rho=cfg.rho, c=cfg.c,
                       source=cfg.source(), octree_depth=cfg.octree_depth)
-    save_matrix_market(out / "M.mtx", system.M)
-    save_matrix_market(out / "K.mtx", system.K)
+    scipy.io.mmwrite(str(out / "M.mtx"), system.M, symmetry="symmetric")
+    scipy.io.mmwrite(str(out / "K.mtx"), system.K, symmetry="symmetric")
     scipy.io.mmwrite(str(out / "F.mtx"), system.F_s.reshape(-1, 1))
     print(f"wrote M.mtx, K.mtx, F.mtx to {out}")
     return 0

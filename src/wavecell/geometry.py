@@ -231,10 +231,10 @@ _PLANE_TRIPLES = np.array(list(combinations(range(12), 3)))
 @dataclass
 class OctreeLeaves:
     """Flat leaf arrays of the octree partitions of a batch of boxes, grouped
-    by ``owner`` (the box index) and in deterministic order within a box."""
+    by ``owner`` (the box index) and in deterministic order within a box.
+    A leaf of depth d spans 2^-d of its owner box along each axis."""
 
-    lo: np.ndarray      # (n, 3)
-    hi: np.ndarray      # (n, 3)
+    lo: np.ndarray      # (n, 3) lower corners
     cls: np.ndarray     # (n,) ElementClass values
     depth: np.ndarray   # (n,)
     owner: np.ndarray   # (n,) index of the partitioned box
@@ -267,13 +267,13 @@ def octree_partition(geom: ImmersedGeometry, boxes,
         cls = geom.classify_boxes(lo, hi)
         cut = cls == ElementClass.CUT
         settled = ~cut if depth < max_depth else np.ones(len(cls), dtype=bool)
-        out.append((lo[settled], hi[settled], cls[settled],
+        out.append((lo[settled], cls[settled],
                     np.full(int(settled.sum()), depth), owner[settled]))
         if depth == max_depth or not np.any(cut):
             break
         lo, hi = _split_octants(lo[cut], hi[cut])
         owner = np.repeat(owner[cut], 8)
-    lo, hi, cls, depth, owner = (np.concatenate(a) for a in zip(*out))
+    lo, cls, depth, owner = (np.concatenate(a) for a in zip(*out))
     order = np.argsort(owner, kind="stable")
-    return OctreeLeaves(lo=lo[order], hi=hi[order], cls=cls[order],
-                        depth=depth[order], owner=owner[order])
+    return OctreeLeaves(lo=lo[order], cls=cls[order], depth=depth[order],
+                        owner=owner[order])

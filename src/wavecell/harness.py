@@ -376,25 +376,24 @@ def run_benchmark(cfg: BenchmarkConfig):
 
 
 @lru_cache(maxsize=4)
-def _reference_cached(p, n_e, dt, T, l_p, f_e, sigma, rho, c):
-    cfg = BenchmarkConfig(family="lagrange", p=p, n_e=n_e,
-                          boundary_fitted=True, method="cdm",
-                          l_p=l_p, f_e=f_e, sigma=sigma, rho=rho, c=c,
-                          T=T, dt=dt)
-    _, result = run_benchmark(cfg)
-    return result
+def _reference_cached(cfg: BenchmarkConfig) -> RunResult:
+    return run_benchmark(cfg)[1]
 
 
-def reference_run(p: int = 6, n_e: int = 6, dt: float = 1.0e-4,
-                  T: float = 1.0, l_p: float = 0.3, f_e: float = 10.0,
-                  sigma: float = 0.01, rho: float = 1.0,
-                  c: float = 1.0) -> RunResult:
+def reference_run(base: BenchmarkConfig | None = None, p: int = 6,
+                  n_e: int = 6, dt: float = 1.0e-4) -> RunResult:
     """Boundary-fitted reference solution (diagonal-mass explicit run).
 
-    Results are memoized per parameter set; the observer history is shared,
-    so callers must not mutate it.
+    The physics (T, l_p, f_e, sigma, rho, c and the source position) comes
+    from ``base``, by default ``BenchmarkConfig()``.  Results are memoized
+    per reference configuration; the observer history is shared, so
+    callers must not mutate it.
     """
-    return _reference_cached(p, n_e, dt, T, l_p, f_e, sigma, rho, c)
+    base = BenchmarkConfig() if base is None else base
+    return _reference_cached(BenchmarkConfig(
+        family="lagrange", p=p, n_e=n_e, boundary_fitted=True, method="cdm",
+        l_p=base.l_p, f_e=base.f_e, sigma=base.sigma, rho=base.rho,
+        c=base.c, x_local=base.source().x_local, T=base.T, dt=dt))
 
 
 def convergence_study(base: BenchmarkConfig, n_e_values, n_s: int = 10000,
@@ -404,8 +403,7 @@ def convergence_study(base: BenchmarkConfig, n_e_values, n_s: int = 10000,
     Returns one BenchmarkReport per n_e with the error field filled.
     """
     if reference is None:
-        reference = reference_run(T=base.T, l_p=base.l_p, f_e=base.f_e,
-                                  sigma=base.sigma, rho=base.rho, c=base.c)
+        reference = reference_run(base)
     ref_sig = sample_observers(reference, n_s, T=base.T)
     reports = []
     for n_e in n_e_values:

@@ -14,7 +14,6 @@ ARPACK's Lanczos method with a seeded start vector.
 from __future__ import annotations
 
 import numpy as np
-import scipy.io
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -120,8 +119,3 @@ def dt_crit(K, M, tol=1e-9, seed=0):
         raise ValueError("largest generalized eigenvalue must be positive")
     return 2.0 / np.sqrt(lam)
 
-
-def save_matrix_market(path, A, symmetric=True):
-    """Write a sparse matrix in MatrixMarket coordinate format."""
-    A = sp.coo_matrix(A)
-    scipy.io.mmwrite(str(path), A, symmetry="symmetric" if symmetric else "general")

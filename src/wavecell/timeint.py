@@ -69,7 +69,6 @@ class RunResult:
     t: np.ndarray                 # (n_t + 1,) step times
     obs: np.ndarray | None        # (n_obs, n_t + 1) observer samples
     psi: np.ndarray               # final displacement
-    psi_dot: np.ndarray | None    # final velocity (None for pure CDM)
     timings: StageTimings
     fact_dim: int = 0             # factored dimension (cdm: the LU block)
 
@@ -153,7 +152,7 @@ def newmark_run(M, K, F_s, f_t, dt: float, n_t: int, obs_mat=None,
         rec.record(k + 1, psi)
         _check(psi, k + 1)
     return RunResult(method="newmark", dt=dt, t=rec.t, obs=rec.obs,
-                     psi=psi, psi_dot=v, timings=timings,
+                     psi=psi, timings=timings,
                      fact_dim=getattr(S_fact, "n", n))
 
 
@@ -197,7 +196,7 @@ def cdm_run(M, K, F_s, f_t, dt: float, n_t: int, obs_mat=None) -> RunResult:
         rec.record(k + 1, psi)
         _check(psi, k + 1)
     return RunResult(method="cdm", dt=dt, t=rec.t, obs=rec.obs,
-                     psi=psi, psi_dot=None, timings=timings,
+                     psi=psi, timings=timings,
                      fact_dim=fact_dim)
 
 
@@ -267,11 +266,6 @@ def imex_run(M, K, F_s, f_t, dt: float, n_t: int, c_idx, d_idx,
         timings.backward_insertion += time.perf_counter() - t0
         rec.record(k + 1, psi)
         _check(psi, k + 1)
-
-    v_out = None
-    if d_idx.shape[0] == 0:
-        v_out = np.zeros(n)
-        v_out[c_idx] = v_c
     return RunResult(method="imex", dt=dt, t=rec.t, obs=rec.obs,
-                     psi=psi, psi_dot=v_out, timings=timings,
+                     psi=psi, timings=timings,
                      fact_dim=c_idx.shape[0])

@@ -42,3 +42,59 @@ def test_every_public_definition_is_used_in_src(module):
               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
               and not node.name.startswith("_")]
     assert unused(public) == []
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+READERS = list(MODULES.values()) + [
+    ast.parse(path.read_text()) for path in sorted(PERFBENCH.glob("*.py"))
+    if not path.name.startswith("test_")]
+
+
+def is_dataclass(cls):
+    return "dataclass" in {
+        getattr(d.func if isinstance(d, ast.Call) else d, "id", None)
+        for d in cls.decorator_list}
+
+
+def public_members(tree):
+    """``Class.name`` of every public method and dataclass field of the
+    public classes of a module."""
+    for cls in tree.body:
+        if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+            continue
+        for node in cls.body:
+            if isinstance(node, ast.FunctionDef):
+                name = node.name
+            elif (isinstance(node, ast.AnnAssign) and is_dataclass(cls)
+                  and isinstance(node.target, ast.Name)):
+                name = node.target.id
+            else:
+                continue
+            if not name.startswith("_"):
+                yield f"{cls.name}.{name}"
+
+
+def unread(members, readers):
+    read = {node.attr for tree in readers for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    return [m for m in members if m.split(".")[1] not in read]
+
+
+@pytest.mark.parametrize("module", sorted(MODULES))
+def test_every_public_member_is_read(module):
+    # Methods and dataclass fields must be read as an attribute by the
+    # package or the benchmark scripts, not only by tests.
+    assert unread(list(public_members(MODULES[module])), READERS) == []
+
+
+def test_unread_field_is_caught():
+    tree = ast.parse("from dataclasses import dataclass\n"
+                     "@dataclass(frozen=True)\nclass Probe:\n"
+                     "    kept: int\n    never_read_anywhere: int\n"
+                     "    def used(self):\n        return self.kept\n"
+                     "print(Probe(1, 2).used())\n")
+    members = list(public_members(tree))
+    assert members == ["Probe.kept", "Probe.never_read_anywhere",
+                       "Probe.used"]
+    assert unread(members, READERS + [tree]) == ["Probe.never_read_anywhere"]

@@ -42,7 +42,7 @@ def octree_points(geom, box, q, max_depth):
     g = gl_rule(q)
     size = hi - lo
     A = 2.0 * (leaves.lo - lo) / size - 1.0
-    B = 2.0 * (leaves.hi - lo) / size - 1.0
+    B = A + 2.0 ** (1 - leaves.depth[:, None])    # 2^-d of the box
     nodes = A[:, :, None] + (B - A)[:, :, None] * (g.nodes + 1.0) / 2.0
     wts = g.weights * (B - A)[:, :, None] / 2.0          # (L, 3, q)
     # leaf-major, then x, y, z points, z fastest

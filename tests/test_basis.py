@@ -4,7 +4,7 @@ from numpy.polynomial import legendre
 from scipy.special import comb
 
 from wavecell.basis import (BasisSpec, bspline_eval, gl_rule, gll_rule,
-                            lagrange_eval, open_uniform_knots)
+                            lagrange_eval)
 
 
 def test_gll_p1_is_trapezoid():
@@ -41,6 +41,44 @@ def test_gll_integrates_legendre_exactly(p):
         vals = legendre.legval(r.nodes, np.eye(k + 1)[k])
         exact = 2.0 if k == 0 else 0.0
         assert abs(np.dot(r.weights, vals) - exact) < 1e-12
+
+
+def gll_newton_longdouble(p):
+    """GLL rule by Newton iteration on (1 - x^2) P_p' from Chebyshev-Lobatto
+    starts, in long double, symmetrized; weights 2 / (p (p+1) P_p^2)."""
+    def legendre_pair(x):                       # P_{p-1}, P_p by recurrence
+        P_prev, P = np.ones_like(x), x.copy()
+        for n in range(1, p):
+            P_prev, P = P, ((2 * n + 1) * x * P - n * P_prev) / (n + 1)
+        return P_prev, P
+
+    x = -np.cos(np.pi * np.arange(1, p) / p).astype(np.longdouble)
+    for _ in range(100):
+        P_prev, P = legendre_pair(x)
+        dP = p * (x * P - P_prev) / (x * x - 1)
+        # Legendre's ODE: ((1 - x^2) P_p')' = -p (p+1) P_p
+        dx = -(1 - x * x) * dP / (p * (p + 1) * P)
+        x -= dx
+        if not np.any(np.abs(dx) > 1e-21):
+            break
+    x = (x - x[::-1]) / 2
+    nodes = np.concatenate(([-1], x, [1])).astype(np.longdouble)
+    P = legendre_pair(nodes)[1]
+    return nodes, 2 / (p * (p + 1) * P * P)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="the oracle needs extended precision")
+@pytest.mark.parametrize("p", range(1, 11))
+def test_gll_rule_against_longdouble_newton(p):
+    # Within 4 ulp of each value (measured: 1.4 for nodes and 3.8 for
+    # weights at p <= 10), and nodes antisymmetric to the bit.
+    r = gll_rule(p)
+    nodes, weights = gll_newton_longdouble(p)
+    for got, want in ((r.nodes, nodes), (r.weights, weights)):
+        ulp = np.spacing(np.abs(want.astype(float)))
+        assert np.all(np.abs(got - want) <= 4 * ulp)
+    assert np.array_equal(r.nodes, -r.nodes[::-1])
 
 
 def test_gl_q1_midpoint():
@@ -119,20 +157,11 @@ def test_lagrange_derivative_against_finite_differences():
     assert np.max(np.abs(ders - fd)) < 1e-6
 
 
-def test_open_uniform_knots_examples():
-    assert np.allclose(open_uniform_knots(1, 2, 0.0, 1.0),
-                       [0, 0, 0, 1, 1, 1])
-    assert np.allclose(open_uniform_knots(2, 1, 0.0, 1.0),
-                       [0, 0, 0.5, 1, 1])
-    for n_e, p in [(3, 2), (5, 4), (1, 1)]:
-        kn = open_uniform_knots(n_e, p, 0.0, 1.0)
-        assert kn.shape[0] == n_e + 2 * p + 1
-        assert (np.diff(kn) >= 0.0).all()
-        # p+1 repeated end knots, single interior knots
-        assert np.allclose(kn[:p + 1], kn[0]) and np.allclose(kn[-p - 1:], kn[-1])
-        interior = kn[p + 1:-p - 1]
-        assert np.allclose(np.diff(np.concatenate([[kn[0]], interior, [kn[-1]]])),
-                           (kn[-1] - kn[0]) / n_e)
+def open_uniform_knots(n_e, p):
+    """Open uniform knot vector of n_e unit spans on [0, n_e]: end knots
+    repeated p+1 times, simple interior knots."""
+    return np.concatenate((np.zeros(p), np.arange(n_e + 1.0),
+                           np.full(p, float(n_e))))
 
 
 def uniform_spans(x, n_e, p):
@@ -140,15 +169,58 @@ def uniform_spans(x, n_e, p):
     return p + np.minimum(np.floor(x * n_e).astype(int), n_e - 1)
 
 
+def knot_windows(knots, span, p):
+    """The 2p knots around each span, as ``bspline_eval`` takes them."""
+    return knots[np.asarray(span)[..., None] + np.arange(1 - p, p + 1)]
+
+
+def cox_de_boor(knots, p, span, x):
+    """Values and derivatives of the p+1 B-splines on knot span ``span`` at
+    the scalar ``x``, reading the full knot vector (The NURBS Book, A2.2)."""
+    N, left, right = [1.0] + [0.0] * p, [0.0] * (p + 1), [0.0] * (p + 1)
+    D = [0.0] * (p + 1)
+    for j in range(1, p + 1):
+        if j == p:      # from the degree p-1 functions N[0..p-1]
+            term = [p * N[r] / (knots[span + 1 + r] - knots[span - p + 1 + r])
+                    for r in range(p)]
+            D = ([-term[0]] + [term[r - 1] - term[r] for r in range(1, p)]
+                 + [term[p - 1]])
+        left[j] = x - knots[span + 1 - j]
+        right[j] = knots[span + j] - x
+        saved = 0.0
+        for r in range(j):
+            temp = N[r] / (right[r + 1] + left[j - r])
+            N[r] = saved + right[r + 1] * temp
+            saved = left[j - r] * temp
+        N[j] = saved
+    return N, D
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("n_e", [1, 2, 3, 6, 11])
+def test_eval_element_equals_cox_de_boor_on_full_knots(p, n_e):
+    # The closed-form knot window of each element gives, bit for bit, the
+    # recursion on the whole knot vector (in knot spacings from the
+    # element's left knot, where every knot is an exact integer).
+    spec = BasisSpec(family="bspline", p=p, n_e=n_e)
+    xi = np.concatenate([[-1.0, 0.0, 1.0], np.random.default_rng(
+        10 * p + n_e).uniform(-1.0, 1.0, 200)])
+    V, D = spec.eval_element(np.arange(n_e)[:, None], xi)
+    for e in range(n_e):
+        knots = open_uniform_knots(n_e, p) - e
+        for i, x in enumerate(xi):
+            v, d = cox_de_boor(knots, p, p + e, (x + 1.0) / 2.0)
+            assert np.array_equal(V[e, i], v)
+            assert np.array_equal(D[e, i], np.array(d) / 2.0)
+
+
 def test_bspline_bernstein_case():
-    kn = open_uniform_knots(1, 2, 0.0, 1.0)
-    vals, _ = bspline_eval(kn, 2, 2, 0.5)
+    vals, _ = bspline_eval(knot_windows(open_uniform_knots(1, 2), 2, 2), 0.5)
     assert np.allclose(vals, [0.25, 0.5, 0.25], atol=1e-14)
 
 
 def test_bspline_degree_zero_is_span_indicator():
-    kn = np.array([0.0, 0.5, 1.0])
-    vals, ders = bspline_eval(kn, 0, 0, 0.3)
+    vals, ders = bspline_eval(np.empty(0), 0.3)    # p = 0: no knots read
     assert vals.shape == (1,)
     assert np.allclose(vals, [1.0])
     assert np.allclose(ders, [0.0])
@@ -162,8 +234,9 @@ def test_partition_of_unity_random_points(family, p):
     if family == "lagrange":
         vals, ders = lagrange_eval(gll_rule(p).nodes, 2.0 * xs - 1.0)
     else:
-        kn = open_uniform_knots(4, p, 0.0, 1.0)
-        vals, ders = bspline_eval(kn, p, uniform_spans(xs, 4, p), xs)
+        window = knot_windows(open_uniform_knots(4, p) / 4.0,
+                              uniform_spans(xs, 4, p), p)
+        vals, ders = bspline_eval(window, xs)
         assert (vals >= -1e-14).all()
     assert vals.shape == ders.shape == (1000, p + 1)
     assert np.abs(vals.sum(axis=-1) - 1.0).max() < 1e-10
@@ -174,7 +247,7 @@ def test_partition_of_unity_random_points(family, p):
 def test_bspline_reproduces_polynomials(p):
     # Marsden: coefficients e_k(t_{i+1}..t_{i+p}) / C(p, k) reproduce x^k.
     n_e = 5
-    kn = open_uniform_knots(n_e, p, 0.0, 1.0)
+    kn = open_uniform_knots(n_e, p) / n_e
     n_funcs = n_e + p
 
     def elementary_symmetric(vals, k):
@@ -186,7 +259,7 @@ def test_bspline_reproduces_polynomials(p):
 
     x = np.linspace(0.0, 1.0, 23)
     span = uniform_spans(x, n_e, p)
-    vals, _ = bspline_eval(kn, p, span, x)
+    vals, _ = bspline_eval(knot_windows(kn, span, p), x)
     funcs = span[:, None] - p + np.arange(p + 1)
     for k in range(p + 1):
         coeffs = np.array([

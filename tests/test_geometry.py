@@ -133,7 +133,7 @@ def test_octree_inside_box_single_leaf(benchmark_geometry):
     leaves = octree_partition(g, (lo, hi), max_depth=3)
     assert len(leaves) == 1
     assert ElementClass(int(leaves.cls[0])) == ElementClass.INSIDE
-    assert np.allclose(leaves.lo[0], lo) and np.allclose(leaves.hi[0], hi)
+    assert np.allclose(leaves.lo[0], lo) and leaves.depth[0] == 0
 
 
 def test_octree_cut_box_depths(benchmark_geometry):
@@ -151,12 +151,15 @@ def test_octree_leaves_tile_parent(benchmark_geometry, depth):
     face_pt = g.to_global([g.l_p / 2.0, 0.0, 0.0])
     b = (face_pt - 0.02, face_pt + 0.02)
     leaves = octree_partition(g, b, max_depth=depth)
-    vols = np.prod(leaves.hi - leaves.lo, axis=1)
-    vol = 0.04 ** 3
-    assert abs(vols.sum() - vol) <= 1e-12 * vol
-    # only cut leaves may remain subdivided; inside/outside leaves are
-    # never smaller than their first uncut ancestor
-    assert (vols > 0.0).all()
+    # a depth-d leaf covers 2^(depth-d) cells per axis of the depth-`depth`
+    # lattice; every cell is covered exactly once
+    n = 2 ** depth
+    count = np.zeros((n, n, n), dtype=int)
+    for lo, d in zip(leaves.lo, leaves.depth):
+        i, j, k = np.rint((lo - b[0]) * n / 0.04).astype(int)
+        s = n >> d
+        count[i:i + s, j:j + s, k:k + s] += 1
+    assert (count == 1).all()
 
 
 def test_volume_fraction_on_plane_cut():
@@ -226,8 +229,14 @@ class OctreeView:
     """The leaves of one owner of a batched partition."""
 
     def __init__(self, leaves, mask):
-        self.lo, self.hi, self.cls, self.depth = (
-            getattr(leaves, f)[mask] for f in ("lo", "hi", "cls", "depth"))
+        self.lo, self.cls, self.depth, self.owner = (
+            getattr(leaves, f)[mask] for f in ("lo", "cls", "depth", "owner"))
+
+
+def leaf_hi(leaves, lo, hi):
+    """Upper leaf corners: a depth-d leaf spans 2^-d of its owner box."""
+    size = (np.reshape(hi, (-1, 3)) - np.reshape(lo, (-1, 3)))[leaves.owner]
+    return leaves.lo + size / 2.0 ** leaves.depth[:, None]
 
 
 # Degenerate angles first: at 0 degrees the cube faces lie on grid planes
@@ -248,9 +257,13 @@ def test_batched_partition_equals_per_box_loop(angles):
             single = octree_partition(g, (l, u), depth)
             mine = batched.owner == b
             assert mine.sum() == len(ref) == len(single)
-            for leaves in (single, OctreeView(batched, mine)):
+            for leaves, box in ((single, (l, u)),
+                                (OctreeView(batched, mine), (lo, hi))):
                 assert np.array_equal(leaves.lo, np.array([r[0] for r in ref]))
-                assert np.array_equal(leaves.hi, np.array([r[1] for r in ref]))
+                # midpoint splits round; 2^-d of the box does not
+                assert np.allclose(leaf_hi(leaves, *box),
+                                   np.array([r[1] for r in ref]),
+                                   rtol=1e-15, atol=0.0)
                 assert np.array_equal(leaves.cls, [r[2] for r in ref])
                 assert np.array_equal(leaves.depth, [r[3] for r in ref])
         # grouped by owner, in input order
@@ -266,7 +279,7 @@ def test_classification_chunks_change_no_class(monkeypatch):
     monkeypatch.setattr(geometry, "_CLASSIFY_CHUNK", 7)
     assert np.array_equal(g.classify_boxes(lo, hi), whole)
     chunked = octree_partition(g, (lo, hi), 3)
-    for f in ("lo", "hi", "cls", "depth", "owner"):
+    for f in ("lo", "cls", "depth", "owner"):
         assert np.array_equal(getattr(chunked, f), getattr(leaves, f))
 
 

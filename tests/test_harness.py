@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse as sp
 
 from wavecell.assembly import Grid
-from wavecell.basis import BasisSpec, gll_rule, open_uniform_knots
+from wavecell.basis import BasisSpec, gll_rule
 from wavecell.geometry import ElementClass, ImmersedGeometry
 from wavecell.harness import (
     EIG_TOL,
@@ -198,11 +198,11 @@ def test_observer_matrix_linear_field_immersed(small_grid):
 def greville_1d(grid):
     """Grid-frame Greville abscissae of the B-spline functions of one
     direction: as coefficients they reproduce the coordinate x."""
-    p = grid.spec.p
-    kn = open_uniform_knots(grid.spec.n_e, p)
+    p, n_e = grid.spec.p, grid.spec.n_e
+    kn = np.clip(np.arange(-p, n_e + p + 1), 0, n_e)     # open uniform, [0, n_e]
     g = np.array([kn[i + 1:i + p + 1].mean()
                   for i in range(grid.spec.n_funcs_1d)])
-    return grid.origin[0] + g * grid.spec.n_e * grid.h
+    return grid.origin[0] + g * grid.h
 
 
 def test_observer_matrix_linear_field_immersed_bspline(benchmark_geometry):
@@ -426,6 +426,22 @@ def test_study_csv_layout(tmp_path):
     assert cells[4] == ""   # no critical step measured
     assert cells[6] == ""   # no error measured
     assert float(cells[5]) == 1e-3
+
+
+def test_reference_run_keeps_the_source_position():
+    # The reference takes its physics, source position included, from the
+    # configuration it is compared with, and is memoized on those values.
+    moved = BenchmarkConfig(x_local=(-0.15, 0.05, -0.02), alpha=0.5)
+    ref = reference_run(moved, p=2, n_e=2, dt=1e-3)
+    default = reference_run(p=2, n_e=2, dt=1e-3)
+    assert not np.array_equal(ref.obs, default.obs)
+    _, direct = run_benchmark(BenchmarkConfig(
+        family="lagrange", p=2, n_e=2, boundary_fitted=True, method="cdm",
+        x_local=moved.x_local, dt=1e-3))
+    assert np.array_equal(ref.obs, direct.obs)
+    assert np.array_equal(ref.psi, direct.psi)
+    assert reference_run(BenchmarkConfig(x_local=moved.x_local, n_e=9),
+                         p=2, n_e=2, dt=1e-3) is ref
 
 
 def test_reference_self_consistency():

@@ -7,13 +7,14 @@ import scipy.sparse.linalg as spla
 
 from wavecell.assembly import Grid, assemble
 from wavecell.basis import BasisSpec
+from wavecell.cli import main
 from wavecell.geometry import ImmersedGeometry
+from wavecell.harness import BenchmarkConfig
 from wavecell.linalg import (
     IndefiniteMatrixError,
     dt_crit,
     factorize,
     max_gen_eig,
-    save_matrix_market,
 )
 from wavecell.stabilization import StabilizationParams
 
@@ -179,13 +180,22 @@ def test_dt_crit_simple_value():
 
 
 def test_matrix_market_round_trip(tmp_path):
+    # export-matrices writes M and K as symmetric MatrixMarket files (the
+    # lower triangle); reading them back gives the assembled matrices.
     system = tiny_immersed_system()
-    path = tmp_path / "M.mtx"
-    save_matrix_market(path, system.M)
-    back = sp.csr_matrix(scipy.io.mmread(str(path)))
-    d = (back - system.M).tocoo()
-    scale = np.abs(system.M.data).max()
-    assert d.nnz == 0 or np.abs(d.data).max() <= 1e-14 * scale
+    config = tmp_path / "tiny.json"
+    config.write_text(BenchmarkConfig(p=1, n_e=4, alpha=1e-6,
+                                      octree_depth=2).to_json())
+    assert main(["export-matrices", "--config", str(config),
+                 "--out", str(tmp_path)]) == 0
+    for name, A in (("M", system.M), ("K", system.K)):
+        path = tmp_path / f"{name}.mtx"
+        assert path.read_text().startswith(
+            "%%MatrixMarket matrix coordinate real symmetric")
+        back = sp.csr_matrix(scipy.io.mmread(str(path)))
+        d = (back - A).tocoo()
+        scale = np.abs(A.data).max()
+        assert d.nnz == 0 or np.abs(d.data).max() <= 1e-14 * scale
 
 
 def test_factorization_solve_shapes():

@@ -315,4 +315,3 @@ def test_timings_and_fact_dims_reported():
     r_imex = imex_run(M, K, F, f, 1e-3, 50, np.array([1, 2]),
                       np.array([0, 3]))
     assert r_imex.fact_dim == 2
-    assert r_imex.psi_dot is None  # mixed split reports displacement only
