@@ -17,7 +17,9 @@ mass and stiffness matrices come from summing element matrices:
   integrand exactly, so the fictitious part is the exact uncut element
   integral minus the inside part, and any indicator value alpha (and any
   eigenvalue stabilization) is applied afterwards without re-integrating.
-  The load vector integrates the source on the octree leaves themselves.
+  The load vector integrates the source on the octree leaves themselves,
+  all leaves of the elements near the source in one batched pass: the
+  isotropic Gaussian splits into three 1D factors per leaf.
 
 Degrees of freedom are numbered lexicographically over the tensor function
 grid and compacted to the functions supported on kept elements.  DOFs
@@ -237,10 +239,23 @@ class _LeafRules:
             self._tables[key] = self.grid.spec.eval_element(e, self.xi)
         return self._tables[key]
 
+    def values(self, e, ids):
+        """Basis values (..., q, p+1) at the Gauss points of the intervals
+        ``ids`` on elements ``e``, both of one shape."""
+        _, first, inv = np.unique(_signature(self.grid.spec, e),
+                                  return_index=True, return_inverse=True)
+        V = np.stack([self.tables(int(e.flat[f]))[0] for f in first])
+        return V[inv.reshape(e.shape), ids]
+
+    def axis_points(self, lo, hi, ids):
+        """Grid-frame Gauss coordinates (N, 3, q) per direction of the
+        leaves with interval ids ``ids`` (N, 3) of elements with corners
+        ``lo``, ``hi``."""
+        return lo[..., None] + (self.xi[ids] + 1.0) / 2.0 * (hi - lo)[..., None]
+
     def coords(self, lo, hi, ids):
-        """Grid-frame points (N, q, q, q, 3) of the leaves with interval ids
-        ``ids`` (N, 3) of elements with corners ``lo``, ``hi``."""
-        x = lo[..., None] + (self.xi[ids] + 1.0) / 2.0 * (hi - lo)[..., None]
+        """Grid-frame points (N, q, q, q, 3) of those leaves."""
+        x = self.axis_points(lo, hi, ids)
         return np.stack(np.broadcast_arrays(x[:, 0, :, None, None],
                                             x[:, 1, None, :, None],
                                             x[:, 2, None, None, :]), axis=-1)
@@ -256,15 +271,6 @@ class _LeafRules:
         ids = (self.offsets[leaves.depth][:, None] + pos).astype(np.int32)
         split = np.cumsum(np.bincount(o, minlength=lo.shape[0]))[:-1]
         return np.split(ids, split), np.split(leaves.cls, split)
-
-    def points(self, ijk, lo, hi, ids: np.ndarray):
-        """Quadrature points of the leaves with interval ids ``ids`` (L, 3)
-        of element ``ijk`` with corners ``lo``, ``hi``: per direction the
-        basis values (L, q, p+1), the weights (L, q, q, q) in the reference
-        measure (an uncut element sums to 8) and the points ``coords``."""
-        V = [self.tables(int(e))[0][ids[:, d]] for d, e in enumerate(ijk)]
-        w = np.einsum("lq,lr,ls->lqrs", *(self.w[ids[:, d]] for d in range(3)))
-        return V, w, self.coords(lo, hi, ids)
 
     def factors(self, ijk, depth: int):
         """Outer products w V (x) V and w D (x) D at the Gauss points of the
@@ -320,7 +326,8 @@ class ElementIntegralCache:
         F, index = rules.factors(cut, D)
 
         sel = cls == ElementClass.INSIDE            # on the cell lattice
-        for els, e, d, c in _chunks(2**D, q, owner[sel], depth[sel], pos[sel]):
+        for els, e, d, c in _chunks(_lattice_bytes(2**D, q), owner[sel],
+                                    depth[sel], pos[sel]):
             inside = np.zeros((els.size,) + (2**D,) * 3, dtype=bool)
             for k in np.unique(d):          # a depth-k leaf covers s^3 cells
                 s = 2 ** (D - k)
@@ -329,7 +336,7 @@ class ElementIntegralCache:
 
         sel = cls == ElementClass.CUT   # at maximum depth: point by point
         L = 2**D * q
-        for els, e, c in _chunks(L, q, owner[sel], pos[sel]):
+        for els, e, c in _chunks(_lattice_bytes(L, q), owner[sel], pos[sel]):
             x = rules.coords(lo[els][e], hi[els][e], rules.offsets[D] + c)
             inside = np.zeros((els.size, L, L, L), dtype=bool)
             _paint(inside, e, c * q, q, grid.point_alpha_mask(x))
@@ -354,18 +361,29 @@ class ElementIntegralCache:
 _LATTICE_CHUNK_BYTES = 2 ** 20
 
 
-def _chunks(L, n, owner, *per_leaf):
-    """Groups of the elements in ``owner`` (sorted, one entry per leaf)
-    whose lattice contractions (L^3 indices, n functions per direction) fit
-    the budget: element ids, each leaf's element in its group, and the
-    group's part of ``per_leaf``."""
+def _chunks(size, owner, *per_leaf):
+    """Groups of consecutive elements in ``owner`` (sorted, one entry per
+    leaf) whose arrays, ``size`` bytes per element (a number, or an array
+    over the element ids), fit the budget together, or one element alone:
+    element ids, each leaf's element in its group, and the group's part of
+    ``per_leaf``."""
     els, start, local = np.unique(owner, return_index=True, return_inverse=True)
-    per = max(1, _LATTICE_CHUNK_BYTES
-              // (8 * max(L**3, 2 * n**2 * L**2, 4 * n**4 * L, 8 * n**6)))
+    size = np.broadcast_to(size, els.shape) if np.ndim(size) == 0 else size[els]
+    end = np.append(0, np.cumsum(size))
     start = np.append(start, owner.size)
-    for a in range(0, els.size, per):
-        leaf = slice(start[a], start[min(a + per, els.size)])
-        yield (els[a:a + per], local[leaf] - a) + tuple(x[leaf] for x in per_leaf)
+    a = 0
+    while a < els.size:
+        b = max(a + 1, np.searchsorted(end, end[a] + _LATTICE_CHUNK_BYTES,
+                                       side="right") - 1)
+        leaf = slice(start[a], start[b])
+        yield (els[a:b], local[leaf] - a) + tuple(x[leaf] for x in per_leaf)
+        a = b
+
+
+def _lattice_bytes(L, n):
+    """Bytes of an element's largest array in :func:`_contract`: L^3
+    lattice indices, n functions per direction."""
+    return 8 * max(L**3, 2 * n**2 * L**2, 4 * n**4 * L, 8 * n**6)
 
 
 def _paint(lattice, e, start, s, value):
@@ -710,15 +728,19 @@ def spatial_load(grid: Grid, source: SourceSpec, alpha: float,
     """Load vector F_s[i] = integral of alpha_fcm rho f_s N_i.
 
     Every element within 14 sigma of the source is integrated on the same
-    octree leaves as the cut-element integrals (the element itself when
-    uncut).  The indicator comes from the leaf class: 1 on uncut elements
-    and inside leaves, alpha on outside leaves; only the points of leaves
-    still cut at maximum depth are classified, by
-    :meth:`Grid.point_alpha_mask`.  Farther elements contribute below
-    double precision resolution and are skipped.  A ``cache`` of this grid
-    and depth supplies the cut elements' leaves (and its leaf tables when
-    ``q`` matches) instead of partitioning again; the result is the same
-    to the bit.
+    octree leaves as the cut-element integrals, an uncut element as one
+    depth-0 inside leaf; farther elements contribute below double
+    precision resolution and are skipped.  The source is isotropic and a
+    leaf an axis-aligned box, so per leaf and axis A_d = w_d g_d V_d
+    (q, p+1) holds the weights, the 1D Gaussian factor and the basis
+    values.  Inside leaves (indicator 1) and outside leaves (alpha) add
+    the outer product of the sums of A_d over their points; leaves still
+    cut at maximum depth contract the indicator of
+    :meth:`Grid.point_alpha_mask` at their points with A_0, A_1 and A_2.
+    All leaves go in one batched pass, in chunks of whole elements, and
+    each element sums its leaves in order, so neither the chunks nor a
+    ``cache`` of this grid and depth, which supplies the cut elements'
+    leaves (and its leaf tables when ``q`` matches), changes a bit.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must be in (0, 1]")
@@ -728,7 +750,6 @@ def spatial_load(grid: Grid, source: SourceSpec, alpha: float,
         raise ValueError("the cache belongs to another grid or octree depth")
     rules = (cache._rules if cache is not None and cache.q == q
              else _LeafRules(grid, octree_depth, q))
-    F = np.zeros(grid.n_dof)
     src_local = np.asarray(source.x_local, dtype=float)
     if grid.boundary_fitted:
         src_grid = src_local
@@ -738,28 +759,48 @@ def spatial_load(grid: Grid, source: SourceSpec, alpha: float,
     hi = lo + grid.h
     dist = np.linalg.norm(np.clip(src_grid, lo, hi) - src_grid, axis=1)
     near = np.flatnonzero(dist <= 14.0 * source.sigma)
-    near_cut = near[grid.kept_cut[near]]
+    ijk, lo, hi = grid.kept[near], lo[near], hi[near]
+    cut = np.flatnonzero(grid.kept_cut[near])
     if cache is not None:
-        cut_no = (np.cumsum(grid.kept_cut) - 1)[near_cut]  # cache position
-        cut_leaves = iter([(cache._leaf_ids[e], cache._leaf_cls[e])
-                           for e in cut_no])
+        cut_no = (np.cumsum(grid.kept_cut) - 1)[near[cut]]  # cache position
+        cut_ids = [cache._leaf_ids[e] for e in cut_no]
+        cut_cls = [cache._leaf_cls[e] for e in cut_no]
     else:
-        cut_leaves = zip(*rules.partition(lo[near_cut], hi[near_cut]))
-    whole = (np.zeros((1, 3), dtype=int), np.array([ElementClass.INSIDE]))
-    for k in near:
-        ids, cls = next(cut_leaves) if grid.kept_cut[k] else whole
-        ijk = grid.kept[k]
-        V, w, x = rules.points(ijk, lo[k], hi[k], ids)
-        inside = np.zeros(w.shape, dtype=bool)
-        inside[cls == ElementClass.INSIDE] = True
-        cut = cls == ElementClass.CUT
-        inside[cut] = grid.point_alpha_mask(x[cut])
-        a_fcm = np.where(inside, 1.0, alpha)
-        # Rotation keeps distances, so d is measured in the grid frame.
-        d2 = np.sum((x - src_grid) ** 2, axis=-1)
-        f = np.exp(-0.5 * d2 / source.sigma**2)
-        weights = rho * (grid.h / 2.0) ** 3 * w * a_fcm * f
-        F_el = np.einsum("lqrs,lqa,lrb,lsc->abc", weights, *V,
-                         optimize=True).ravel()
-        np.add.at(F, grid.element_dofs(ijk), F_el)
+        cut_ids, cut_cls = rules.partition(lo[cut], hi[cut])
+    ids = [np.zeros((1, 3), dtype=np.int32)] * near.size
+    cls = [np.array([ElementClass.INSIDE], dtype=np.int8)] * near.size
+    for k, i, c in zip(cut, cut_ids, cut_cls):
+        ids[k], cls[k] = i, c
+    owner = np.repeat(np.arange(near.size), [c.size for c in cls])
+    ids, cls = np.concatenate(ids), np.concatenate(cls)
+
+    n = grid.spec.p + 1
+    # A leaf's arrays: its factors and result, and its points if pointwise.
+    leaf_bytes = 8 * (3 * q * n + n**3 + 3 * q**3 * (cls == ElementClass.CUT))
+    F_near = np.empty((near.size, n**3))
+    for els, e, i, c in _chunks(np.bincount(owner, leaf_bytes), owner,
+                                ids, cls):
+        k = els[e]                                  # each leaf's element
+        x = rules.axis_points(lo[k], hi[k], i)      # (N, 3, q)
+        # Rotation keeps distances, so the factors live in the grid frame.
+        g = np.exp(-0.5 * (x - src_grid[:, None]) ** 2 / source.sigma**2)
+        A = (rules.w[i] * g)[..., None] * rules.values(ijk[k], i)
+        F_leaf = np.empty((c.size, n, n, n))
+        whole = c != ElementClass.CUT
+        s = A[whole].sum(axis=2)                    # (N, 3, n)
+        a = np.where(c[whole] == ElementClass.INSIDE, 1.0, alpha)
+        F_leaf[whole] = (a[:, None, None, None] * s[:, 0, :, None, None]
+                         * s[:, 1, None, :, None] * s[:, 2, None, None, :])
+        pw = ~whole
+        T = np.where(grid.point_alpha_mask(
+            rules.coords(lo[k[pw]], hi[k[pw]], i[pw])), 1.0, alpha)
+        At = A[pw].swapaxes(-1, -2)                 # (N, 3, n, q)
+        T = T @ A[pw, 2][:, None]                   # z: (N, q, q, n)
+        T = At[:, None, 1] @ T                      # y: (N, q, n, n)
+        F_leaf[pw] = (At[:, 0] @ T.reshape(-1, q, n * n)).reshape(-1, n, n, n)
+        F_near[els] = np.add.reduceat(F_leaf.reshape(c.size, -1),
+                                      np.searchsorted(e, np.arange(els.size)))
+    F = np.zeros(grid.n_dof)
+    np.add.at(F, grid.element_dofs(ijk).ravel(),
+              (rho * (grid.h / 2.0) ** 3 * F_near).ravel())
     return F

@@ -74,8 +74,8 @@ def evs_stabilize(M_o, M_f, epsilon, f_lambda=1e-2):
         return M_o.copy()
     lam, V = np.linalg.eigh(0.5 * (M_o + np.swapaxes(M_o, -1, -2)))
     small = lam < f_lambda * lam[..., -1:]
-    # Projector onto the small eigenspace.
-    Ms = np.einsum("...ik,...k,...jk->...ij", V, small.astype(float), V)
+    # Projector onto the small eigenspace, as one batched GEMM.
+    Ms = (V * small[..., None, :]) @ np.swapaxes(V, -1, -2)
     denom = np.max(np.abs(Ms), axis=(-2, -1))
     num = np.max(np.abs(M_f), axis=(-2, -1))
     scale = np.where(denom > 0.0, num / np.where(denom > 0.0, denom, 1.0), 0.0)

@@ -434,23 +434,38 @@ def reference_leaf_ids(offsets, box, leaves):
     return offsets[leaves.depth][:, None] + pos
 
 
-def reference_load(grid, source, alpha, depth, rho):
-    """The load element by element, every point classified by
-    ``Grid.point_alpha_mask``, whatever its leaf class."""
-    rules = _LeafRules(grid, depth, grid.spec.p + 1)
+def source_in_grid_frame(grid, source):
     src = np.asarray(source.x_local, dtype=float)
-    if not grid.boundary_fitted:
-        src = grid.geom.to_global(src)
-    F = np.zeros(grid.n_dof)
+    return src if grid.boundary_fitted else grid.geom.to_global(src)
+
+
+def near_leaves(grid, source, rules):
+    """Per kept element within 14 sigma of ``source``, in order: the
+    element, its box and its leaves' interval ids and classes, an uncut
+    element as one depth-0 inside leaf, a cut one by its own partition."""
+    src = source_in_grid_frame(grid, source)
     for ijk, cut in zip(grid.kept, grid.kept_cut):
         box = grid.element_box(ijk)
         if np.linalg.norm(np.clip(src, *box) - src) > 14.0 * source.sigma:
             continue
-        ids = np.zeros((1, 3), dtype=int)
+        ids, cls = np.zeros((1, 3), dtype=int), np.array([ElementClass.INSIDE])
         if cut:
-            ids = reference_leaf_ids(rules.offsets, box,
-                                     octree_partition(grid.geom, box, depth))
-        V, w, x = rules.points(ijk, *box, ids)
+            leaves = octree_partition(grid.geom, box, rules.max_depth)
+            ids, cls = reference_leaf_ids(rules.offsets, box, leaves), leaves.cls
+        yield ijk, box, ids, cls
+
+
+def reference_load(grid, source, alpha, depth, rho):
+    """The load element by element: the radial Gaussian at every point,
+    and every point classified by ``Grid.point_alpha_mask``, whatever its
+    leaf class."""
+    rules = _LeafRules(grid, depth, grid.spec.p + 1)
+    src = source_in_grid_frame(grid, source)
+    F = np.zeros(grid.n_dof)
+    for ijk, box, ids, _ in near_leaves(grid, source, rules):
+        V = [rules.tables(int(e))[0][ids[:, d]] for d, e in enumerate(ijk)]
+        w = np.einsum("lq,lr,ls->lqrs", *(rules.w[ids[:, d]] for d in range(3)))
+        x = rules.coords(*box, ids)
         a_fcm = np.where(grid.point_alpha_mask(x), 1.0, alpha)
         f = np.exp(-0.5 * np.sum((x - src) ** 2, axis=-1) / source.sigma**2)
         weights = rho * (grid.h / 2.0) ** 3 * w * a_fcm * f
@@ -460,32 +475,103 @@ def reference_load(grid, source, alpha, depth, rho):
     return F
 
 
-@pytest.mark.parametrize("family,p,depth", [("lagrange", 2, 2),
-                                            ("lagrange", 3, 3),
-                                            ("bspline", 2, 2),
-                                            ("bspline", 3, 3)])
+def assert_close_to_reference(grid, source, depth, **kwargs):
+    """The load of ``spatial_load`` within 1e-14 of its largest entry of
+    ``reference_load``; returns it.  The two differ in rounding only: the
+    load multiplies three 1D Gaussian factors per point and sums in
+    another order."""
+    want = reference_load(grid, source, 1e-3, depth, rho=1.7)
+    got = spatial_load(grid, source, alpha=1e-3, rho=1.7, octree_depth=depth,
+                       **kwargs)
+    assert np.abs(want).max() > 0.0
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    return got
+
+
+LOAD_CASES = [("lagrange", 2, 2), ("lagrange", 3, 3), ("bspline", 2, 2),
+              ("bspline", 3, 3)]
+
+
+@pytest.mark.parametrize("family,p,depth", LOAD_CASES)
 def test_spatial_load_indicator_from_leaf_classes(benchmark_geometry, family,
                                                   p, depth):
-    # Leaf classes decide the indicator of uncut elements and of inside and
-    # outside leaves: the load equals classifying every point, to the bit.
+    # The load takes the indicator of inside and outside leaves from their
+    # class: every Gauss point of an inside leaf of a near element passes
+    # Grid.point_alpha_mask and every one of an outside leaf fails it.
+    grid = Grid.build(benchmark_geometry, BasisSpec(family=family, p=p, n_e=4))
+    rules = _LeafRules(grid, depth, p + 1)
+    seen = set()
+    for _, box, ids, cls in near_leaves(grid, BenchmarkConfig(l_p=0.3).source(),
+                                        rules):
+        inside = grid.point_alpha_mask(rules.coords(*box, ids))
+        assert inside[cls == ElementClass.INSIDE].all()
+        assert not inside[cls == ElementClass.OUTSIDE].any()
+        seen.update(int(c) for c in cls)
+    assert seen == {ElementClass.INSIDE, ElementClass.OUTSIDE, ElementClass.CUT}
+
+
+@pytest.mark.parametrize("family,p,depth", LOAD_CASES)
+def test_spatial_load_against_reference(benchmark_geometry, family, p, depth):
     grid = Grid.build(benchmark_geometry, BasisSpec(family=family, p=p, n_e=4))
     source = BenchmarkConfig(l_p=0.3).source()
-    want = reference_load(grid, source, 1e-3, depth, rho=1.7)
     cache = ElementIntegralCache(grid, octree_depth=depth)
-    assert any((c != ElementClass.CUT).any() for c in cache._leaf_cls)
-    for kwargs in ({}, {"cache": cache}):
-        got = spatial_load(grid, source, alpha=1e-3, rho=1.7,
-                           octree_depth=depth, **kwargs)
-        assert np.abs(got).max() > 0.0
-        assert got.tobytes() == want.tobytes()
+    fresh = assert_close_to_reference(grid, source, depth)
+    cached = assert_close_to_reference(grid, source, depth, cache=cache)
+    assert cached.tobytes() == fresh.tobytes()
+
+
+BF_SOURCE = SourceSpec(x_local=(0.02, -0.01, 0.0), sigma=0.05)
 
 
 def test_spatial_load_indicator_boundary_fitted():
+    # every point of a boundary-fitted grid is inside
     grid = bf_grid("lagrange", 3, 4)
-    source = SourceSpec(x_local=(0.02, -0.01, 0.0), sigma=0.05)
-    want = reference_load(grid, source, 1e-3, 2, rho=1.7)
-    got = spatial_load(grid, source, alpha=1e-3, rho=1.7, octree_depth=2)
-    assert got.tobytes() == want.tobytes()
+    rules = _LeafRules(grid, 2, 4)
+    for _, box, ids, cls in near_leaves(grid, BF_SOURCE, rules):
+        assert (cls == ElementClass.INSIDE).all()
+        assert grid.point_alpha_mask(rules.coords(*box, ids)).all()
+
+
+def test_spatial_load_boundary_fitted_against_reference():
+    assert_close_to_reference(bf_grid("lagrange", 3, 4), BF_SOURCE, 2)
+
+
+@pytest.mark.parametrize("family", ["lagrange", "bspline"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_spatial_load_chunks_change_no_bit(monkeypatch, family, seed):
+    # Every element alone and every element in one chunk give the load of
+    # the default budget to the bit, with and without a cache, on seeded
+    # random rotations; a wider source reaches most elements.
+    angles = np.random.default_rng(seed).uniform(-180.0, 180.0, 3)
+    grid = Grid.build(ImmersedGeometry.from_angles(0.3, 0.5, angles),
+                      BasisSpec(family=family, p=2, n_e=4))
+    source = SourceSpec(x_local=(-0.15, 0.05, 0.0), sigma=0.03)
+    cache = ElementIntegralCache(grid, octree_depth=2)
+    default = assert_close_to_reference(grid, source, 2)
+    for budget in (1, 2**62):
+        monkeypatch.setattr(assembly, "_LATTICE_CHUNK_BYTES", budget)
+        for kwargs in ({}, {"cache": cache}):
+            got = spatial_load(grid, source, alpha=1e-3, rho=1.7,
+                               octree_depth=2, **kwargs)
+            assert got.tobytes() == default.tobytes()
+
+
+def test_spatial_load_memory():
+    # The traced peak of the load on a cache at Lagrange p3n6 depth 3 was
+    # 2.31 MB element by element, 2.51 MB in chunks and 18.4 MB in one
+    # batch.
+    geom = ImmersedGeometry.from_angles(0.3, 0.5, (10.0, 10.0, 10.0))
+    grid = Grid.build(geom, BasisSpec(family="lagrange", p=3, n_e=6))
+    cache = ElementIntegralCache(grid, octree_depth=3)
+    source = BenchmarkConfig().source()
+    spatial_load(grid, source, alpha=1e-8, octree_depth=3, cache=cache)
+    tracemalloc.start()
+    try:
+        spatial_load(grid, source, alpha=1e-8, octree_depth=3, cache=cache)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * 2.50e6
 
 
 def test_cache_keeps_classes_of_batched_leaves(small_grid, small_cache):
