@@ -564,21 +564,27 @@ class TensorSystem:
     With P the input viewed as an (n1, n1, n1) array and a subscript
     naming the axis a 1D matrix acts on, the stiffness is applied as
 
-        K x = k0 (m1 m2 P) + m0 (k1 m2 P + m1 k2 P),   k = rho c^2 k1,
+        K x = k0 T1 + m0 T2,   T1 = m1 (m2 P),   T2 = k1 (m2 P) + m1 (k2 P),
 
-    seven 1D contractions instead of nine, since the three Kronecker
-    terms share m2 P.  The 1D matrices are banded: they couple only
-    nodes that share an element.  With n_e >= 2 each is split at the
-    element boundary s = p ceil(n_e / 2) into the row blocks [0, s) and
-    [s, n1), and each block is multiplied only by the columns its
-    elements touch, [0, s] and [s - p, n1).  The columns left out hold
-    exact zeros, so the split changes the result only by rounding, and
-    at p = 6, n_e = 6 it does 40% fewer flops.  Each contraction is then
-    two matrix products on row and column slices, written into a
-    workspace of three n1^3 buffers that the instance allocates once, so
-    ``k_matvec`` is not reentrant.  Its result is a fresh array on every
-    call, because the time loops and the CG solve keep references to
-    what it returns.
+    with k = rho c^2 k1, in five matrix products instead of nine
+    contractions: m2 P and k2 P, then T1, then T2 as one product of the
+    interleaved [k1 | m1] against m2 P and k2 P interleaved along the
+    contracted axis, then K x as one product of the interleaved [k0 | m0]
+    against T1 and T2 interleaved along the first axis.  The 1D matrices
+    are banded: a row couples only the nodes of the elements it belongs
+    to.  Each is split at every element boundary into the row blocks
+    [e p, (e + 1) p) (the last block up to n1), and each block is
+    multiplied only by the columns its rows touch, [e p - p, e p + p]
+    clipped to the grid.  The columns left out hold exact zeros, so
+    blocks and interleaving change the result only by rounding; at
+    p = 6, n_e = 6 the blocks do 45% fewer flops than two halves.  The
+    products write into a workspace of 4 n1^3 values that the instance
+    allocates once, so ``k_matvec`` is not reentrant.
+    ``k_matvec(x)`` returns a fresh array on every call, so that no
+    caller (the CG solve, the Lanczos iteration) holds a result the next
+    call overwrites; ``k_matvec(x, out=y)`` writes K x into ``y`` and
+    returns it, which is how the central difference loop steps without
+    allocating.
     """
 
     def __init__(self, grid: Grid, rho: float = 1.0, c: float = 1.0):
@@ -612,10 +618,9 @@ class TensorSystem:
         self.m1 = m1
         self.k1 = k1
         # rho c^2 goes into the private k blocks: it saves a pass per call.
-        self._m = _row_blocks(m1, spec.p, spec.n_e)
-        self._k = _row_blocks(self.rho * self.c * self.c * k1, spec.p, spec.n_e)
+        self._last, self._middle, self._first = _stages(
+            m1, self.rho * self.c * self.c * k1, spec.p, spec.n_e)
         self._m_diag = self.rho * np.einsum("i,j,k->ijk", d, d, d).ravel()
-        self._work = np.empty((3, n1, n1, n1))
 
     @property
     def n_dof(self) -> int:
@@ -624,65 +629,66 @@ class TensorSystem:
     def mass_matrix(self) -> sp.csr_matrix:
         return sp.diags(self._m_diag).tocsr()
 
-    def k_matvec(self, x):
+    def k_matvec(self, x, out=None):
         n1 = self.m1.shape[0]
-        P = np.asarray(x, dtype=float).reshape(n1, n1, n1)
-        a, b, c = self._work
-        m, k = self._m, self._k
-        y = np.empty((n1, n1, n1))
-        _last(m, P, a)          # m2 P
-        _middle(m, a, b)        # m1 m2 P
-        _first(k, b, y)         # k0 m1 m2 P
-        _middle(k, a, b)        # k1 m2 P
-        _last(k, P, a)          # k2 P
-        _middle(m, a, c)        # m1 k2 P
-        b += c
-        _first(m, b, a)         # m0 (k1 m2 P + m1 k2 P)
-        y += a
-        return y.ravel()
+        n = n1 ** 3
+        if out is None:
+            out = np.empty(n)
+        elif (out.shape != (n,) or out.dtype != np.float64
+              or not out.flags.c_contiguous):
+            raise ValueError(f"out must be a contiguous float64 array of shape ({n},)")
+        P = np.asarray(x, dtype=float).reshape(n1 * n1, n1)
+        Y = out.reshape(n1, n1 * n1)
+        for c, mT, kT, mP, kP in self._last:
+            np.matmul(P[:, c], mT, out=mP)          # m2 P
+            np.matmul(P[:, c], kT, out=kP)          # k2 P
+        for A, X, T in self._middle:                # T1, then T2
+            np.matmul(A, X, out=T)
+        for r, km, T in self._first:
+            np.matmul(km, T, out=Y[r])              # k0 T1 + m0 T2
+        return out
 
     def stiffness_operator(self):
         import scipy.sparse.linalg as spla
         n = self.n_dof
-        return spla.LinearOperator((n, n), matvec=self.k_matvec,
-                                   rmatvec=self.k_matvec, dtype=float)
+        op = spla.LinearOperator((n, n), matvec=self.k_matvec,
+                                 rmatvec=self.k_matvec, dtype=float)
+        # cdm_run writes K x into its own buffer through this.
+        op.k_matvec = self.k_matvec
+        return op
 
     def newmark_factorization(self, beta: float, dt: float):
         return _TensorCGFactorization(self, beta, dt)
 
 
-def _row_blocks(A, p: int, n_e: int):
-    """Row blocks of a banded 1D matrix on ``n_e`` elements of degree p:
-    (rows, columns, block, its transpose) with the columns that the rows'
-    elements touch, both blocks contiguous."""
-    n1 = A.shape[0]
-    s = p * ((n_e + 1) // 2)
-    split = (((slice(0, s), slice(0, s + 1)), (slice(s, n1), slice(s - p, n1)))
-             if n_e >= 2 else ((slice(0, n1), slice(0, n1)),))
-    return [(r, c, np.ascontiguousarray(A[r, c]), np.ascontiguousarray(A[r, c].T))
-            for r, c in split]
-
-
-# A 1D matrix on one axis of an (n1, n1, n1) array: on the first axis a
-# product of contiguous row slices, on the middle axis a batched product,
-# on the last axis a product of strided column slices with the transpose.
-def _first(blocks, X, out):
-    n1 = X.shape[0]
-    X, out = X.reshape(n1, -1), out.reshape(n1, -1)
-    for r, c, A, _ in blocks:
-        np.matmul(A, X[c], out=out[r])
-
-
-def _middle(blocks, X, out):
-    for r, c, A, _ in blocks:
-        np.matmul(A, X[:, c], out=out[:, r])
-
-
-def _last(blocks, X, out):
-    n1 = X.shape[0]
-    X, out = X.reshape(-1, n1), out.reshape(-1, n1)
-    for r, c, _, AT in blocks:
-        np.matmul(X[:, c], AT, out=out[:, r])
+def _stages(m, k, p: int, n_e: int):
+    """The three stages of :meth:`TensorSystem.k_matvec` for the 1D mass m
+    and stiffness k on ``n_e`` elements of degree p, per element row block:
+    the columns its rows touch, its blocks (views of m, of contiguous
+    transposes for the last axis, and of [k | m] with interleaved columns)
+    and the views of a workspace allocated here that each product reads
+    and writes."""
+    n1 = m.shape[0]
+    mT, kT = np.ascontiguousarray(m.T), np.ascontiguousarray(k.T)
+    km = np.stack([k, m], axis=-1).reshape(n1, 2 * n1)
+    # (m2 P, k2 P) interleaved on the middle axis, (T1, T2) on the first,
+    # in one allocation: glibc raises its mmap threshold to the largest
+    # block freed, and with two smaller blocks the next set-up's arrays
+    # were mapped afresh and page-faulted (about 1 ms more at p6n6)
+    work = np.empty((2, 2 * n1 ** 3))
+    W, T = work[0].reshape(n1, n1, 2, n1), work[1].reshape(n1, 2, n1, n1)
+    WI, TI = W.reshape(n1, 2 * n1, n1), T.reshape(2 * n1, n1 * n1)
+    last, middle, first = [], [], []
+    for e in range(n_e):
+        r = slice(e * p, (e + 1) * p if e < n_e - 1 else n1)
+        c = slice(max(r.start - p, 0), min(r.stop + 1, n1))
+        c2 = slice(2 * c.start, 2 * c.stop)
+        last.append((c, mT[c, r], kT[c, r], W[:, :, 0, r].reshape(n1 * n1, -1),
+                     W[:, :, 1, r].reshape(n1 * n1, -1)))
+        middle += [(m[r, c], W[:, c, 0], T[:, 0, r]),
+                   (km[r, c2], WI[:, c2], T[:, 1, r])]
+        first.append((r, km[r, c2], TI[c2]))
+    return last, middle, first
 
 
 class _TensorCGFactorization:

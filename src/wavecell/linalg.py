@@ -36,11 +36,14 @@ class Factorization:
         self.coupled = coupled
         self._lu = lu
 
-    def solve(self, b):
+    def solve(self, b, out=None):
+        """A^-1 b, written into ``out`` when given (``out`` may be ``b``)."""
         b = np.asarray(b, dtype=float)
-        x = b / (self.diag if b.ndim == 1 else self.diag[:, None])
+        b_c = b[self.coupled]         # a copy, read before out is written
+        x = np.divide(b, self.diag if b.ndim == 1 else self.diag[:, None],
+                      out=out)
         if self.coupled.size:
-            x[self.coupled] = self._lu.solve(b[self.coupled])
+            x[self.coupled] = self._lu.solve(b_c)
         return x
 
 

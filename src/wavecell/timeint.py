@@ -9,7 +9,11 @@ Three schemes:
   form, bootstrapped with a Taylor step.  Only M is factorized.  With
   g = dt^2 M^-1 F_s solved once, a step is
   psi_new = 2 psi - psi_prev + f_t(t_k) g - dt^2 M^-1 (K psi), updated in
-  place in two swapped buffers.
+  place in two swapped buffers, with M^-1 (K psi) solved into a third.
+  A separable stiffness (``TensorSystem.stiffness_operator``) writes K psi
+  into that buffer too, so on a boundary-fitted grid a step allocates
+  no whole vector; a sparse K allocates K psi, and coupled mass rows the
+  vectors of their LU solve.
 * ``imex_run``: splits the DOFs into an explicitly integrated set ``d``
   (mass rows exactly diagonal, away from cut elements) and an implicitly
   integrated set ``c``.  The d-part advances with the central difference
@@ -160,10 +164,14 @@ def cdm_run(M, K, F_s, f_t, dt: float, n_t: int, obs_mat=None) -> RunResult:
     """Central difference method in two-step displacement form.
 
     Every step writes psi_new into the buffer of psi_prev by BLAS axpy and
-    in-place numpy operations, and the two buffers swap: besides K @ psi
-    and the mass solve, a step allocates no whole vector.
+    in-place numpy operations, and the two buffers swap.  The mass solve
+    writes into a third buffer.  K psi is ``K @ psi``, unless K carries a
+    ``k_matvec(x, out)`` (the operator of
+    :meth:`TensorSystem.stiffness_operator`) that writes it into that
+    buffer, to be solved in place: then a step allocates no whole vector.
     """
-    psi = np.zeros(M.shape[0])
+    n = M.shape[0]
+    psi = np.zeros(n)
     timings = StageTimings()
     rec = _Recorder(obs_mat, n_t, dt)
 
@@ -179,14 +187,19 @@ def cdm_run(M, K, F_s, f_t, dt: float, n_t: int, obs_mat=None) -> RunResult:
     g = dt2 * M_fact.solve(F_s)
     psi_prev = (0.5 * f_t(0.0)) * g
     axpy = get_blas_funcs("axpy", (psi,))
+    buf = np.empty(n)
+    if hasattr(K, "k_matvec"):
+        product = lambda x: K.k_matvec(x, out=buf)
+    else:
+        product = lambda x: K @ x
     rec.record(0, psi)
 
     for k in range(n_t):
         t0 = time.perf_counter()
-        Kpsi = K @ psi
+        Kpsi = product(psi)
         timings.rhs += time.perf_counter() - t0
         t0 = time.perf_counter()
-        a = M_fact.solve(Kpsi)
+        a = M_fact.solve(Kpsi, out=buf)
         np.subtract(psi, psi_prev, out=psi_prev)
         psi_prev += psi
         axpy(g, psi_prev, a=f_t(k * dt))

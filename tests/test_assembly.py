@@ -536,16 +536,24 @@ def test_spatial_load_boundary_fitted_against_reference():
     assert_close_to_reference(bf_grid("lagrange", 3, 4), BF_SOURCE, 2)
 
 
+RANDOM_ROTATION_SOURCE = SourceSpec(x_local=(-0.15, 0.05, 0.0), sigma=0.03)
+
+
+def random_rotation_grid(family, seed, n_e):
+    """Seeded random rotation of the benchmark cube, p = 2; the angles too."""
+    angles = np.random.default_rng(seed).uniform(-180.0, 180.0, 3)
+    geom = ImmersedGeometry.from_angles(0.3, 0.5, angles)
+    return Grid.build(geom, BasisSpec(family=family, p=2, n_e=n_e)), angles
+
+
 @pytest.mark.parametrize("family", ["lagrange", "bspline"])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_spatial_load_chunks_change_no_bit(monkeypatch, family, seed):
     # Every element alone and every element in one chunk give the load of
     # the default budget to the bit, with and without a cache, on seeded
     # random rotations; a wider source reaches most elements.
-    angles = np.random.default_rng(seed).uniform(-180.0, 180.0, 3)
-    grid = Grid.build(ImmersedGeometry.from_angles(0.3, 0.5, angles),
-                      BasisSpec(family=family, p=2, n_e=4))
-    source = SourceSpec(x_local=(-0.15, 0.05, 0.0), sigma=0.03)
+    grid, _ = random_rotation_grid(family, seed, 4)
+    source = RANDOM_ROTATION_SOURCE
     cache = ElementIntegralCache(grid, octree_depth=2)
     default = assert_close_to_reference(grid, source, 2)
     for budget in (1, 2**62):
@@ -653,10 +661,25 @@ def test_tensor_operators_match_assembly(p, rho, c):
                                     (4, 5), (6, 2), (6, 6)])
 def test_tensor_k_matvec_matches_nine_contractions(p, n_e):
     tensor = TensorSystem(bf_grid("lagrange", p, n_e), rho=1.3, c=0.7)
-    x = np.random.default_rng(p).standard_normal(tensor.n_dof)
+    n = tensor.n_dof
+    x = np.random.default_rng(p).standard_normal(n)
+    x_copy = x.copy()
     want = nine_contraction_k(tensor, x)
+    # without out: a fresh array that owns its memory, so it aliases
+    # neither the workspace nor an earlier result
     got = tensor.k_matvec(x)
+    again = tensor.k_matvec(x)
+    assert got.base is None and again.base is None
+    assert not np.shares_memory(got, again)
+    assert np.array_equal(got, again)
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    # with out: the same bits, written into out and returned
+    out = np.full(n, np.nan)
+    assert tensor.k_matvec(x, out=out) is out
+    assert np.array_equal(out, got)
+    assert np.array_equal(x, x_copy)
+    with pytest.raises(ValueError, match="contiguous"):
+        tensor.k_matvec(x, out=np.empty(2 * n)[::2])
 
 
 def test_tensor_k_matvec_invariants():
@@ -777,13 +800,9 @@ def test_grid_rejects_cube_sticking_out_of_extended_domain(angles):
     Grid.build(ImmersedGeometry.from_angles(0.28, 0.5, angles), spec)
 
 
-@pytest.mark.parametrize("family", ["lagrange", "bspline"])
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_assembly_invariants_random_rotation(family, seed):
-    angles = np.random.default_rng(seed).uniform(-180.0, 180.0, 3)
-    spec = BasisSpec(family=family, p=2, n_e=4)
-    geom = ImmersedGeometry.from_angles(0.3, 0.5, angles)
-    grid = Grid.build(geom, spec)
+def assert_assembly_invariants(grid, angles):
+    """Symmetry, K 1 = 0, a factorizable mass, the mass total and the c/d
+    partition at depth 2, and the grid unchanged by quarter turns."""
     cache = ElementIntegralCache(grid, octree_depth=2)
     system = assemble(grid, StabilizationParams(alpha=1e-8), cache=cache)
     for A in (system.M, system.K):
@@ -804,4 +823,29 @@ def test_assembly_invariants_random_rotation(family, seed):
     # configuration about the global z axis, leaves the grid unchanged
     for turn in ((90.0, 0.0, 0.0), (0.0, 0.0, 90.0)):
         turned = ImmersedGeometry.from_angles(0.3, 0.5, angles + turn)
-        assert Grid.build(turned, spec).n_dof == grid.n_dof
+        assert Grid.build(turned, grid.spec).n_dof == grid.n_dof
+    return cache
+
+
+@pytest.mark.parametrize("family", ["lagrange", "bspline"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_assembly_invariants_random_rotation(family, seed):
+    grid, angles = random_rotation_grid(family, seed, 4)
+    assert_assembly_invariants(grid, angles)
+
+
+@pytest.mark.parametrize("family", ["lagrange", "bspline"])
+def test_random_rotation_with_uncut_elements(family):
+    # At n_e = 4 every kept element of these rotations is cut; n_e = 6
+    # keeps uncut elements, which must assemble and load like the rest.
+    grid, angles = random_rotation_grid(family, 0, 6)
+    assert (~grid.kept_cut).any()
+    cache = assert_assembly_invariants(grid, angles)
+    src = source_in_grid_frame(grid, RANDOM_ROTATION_SOURCE)
+    reach = 14.0 * RANDOM_ROTATION_SOURCE.sigma
+    assert any(np.linalg.norm(np.clip(src, *grid.element_box(ijk)) - src)
+               <= reach for ijk in grid.kept[~grid.kept_cut])
+    fresh = assert_close_to_reference(grid, RANDOM_ROTATION_SOURCE, 2)
+    cached = assert_close_to_reference(grid, RANDOM_ROTATION_SOURCE, 2,
+                                       cache=cache)
+    assert cached.tobytes() == fresh.tobytes()

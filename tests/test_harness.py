@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from wavecell.assembly import Grid
+from wavecell.assembly import Grid, assemble, ricker
 from wavecell.basis import BasisSpec, gll_rule
 from wavecell.geometry import ElementClass, ImmersedGeometry
 from wavecell.harness import (
@@ -442,6 +442,25 @@ def test_reference_run_keeps_the_source_position():
     assert np.array_equal(ref.psi, direct.psi)
     assert reference_run(BenchmarkConfig(x_local=moved.x_local, n_e=9),
                          p=2, n_e=2, dt=1e-3) is ref
+
+
+def test_tensor_cdm_matches_sparse_operators():
+    # execute() on the separable operators against cdm_run on the sparse M
+    # and K of assemble(); and twice on one PreparedSystem to the bit, so
+    # the workspace of the stiffness product carries nothing between runs
+    cfg = BenchmarkConfig(family="lagrange", p=3, n_e=3, boundary_fitted=True,
+                          method="cdm", dt=1e-3)
+    prep = prepare(cfg)
+    assert prep.tensor is not None
+    first = execute(prep, cfg)
+    assert _result_digest(execute(prep, cfg)) == _result_digest(first)
+    system = assemble(prep.grid, cfg.stabilization(), rho=cfg.rho, c=cfg.c)
+    sparse = cdm_run(system.M, system.K, prep.F_s,
+                     lambda t: ricker(t, cfg.f_e), prep.dt, prep.n_t,
+                     obs_mat=prep.obs_mat)
+    for got, want in ((first.obs, sparse.obs), (first.psi, sparse.psi)):
+        assert np.abs(want).max() > 0.0
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_reference_self_consistency():

@@ -95,6 +95,13 @@ def test_factorize_mixed_isolated_and_coupled_rows():
     B = rng.standard_normal((6, 2))
     assert np.allclose(fac.solve(B), spla.spsolve(A.tocsc(), B),
                        rtol=1e-13, atol=1e-15)
+    # into out, also when out is b itself: the same bits
+    want = fac.solve(b)
+    out = np.full(6, np.nan)
+    assert fac.solve(b, out=out) is out
+    assert np.array_equal(out, want)
+    assert fac.solve(b, out=b) is b
+    assert np.array_equal(b, want)
 
 
 def test_factorize_rejects_non_positive_isolated_row():

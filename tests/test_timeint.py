@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -147,6 +149,47 @@ def test_cdm_matches_two_step_recurrence(system):
     psi, want = two_step_cdm(M, K, F, f, dt, 200, obs)
     assert np.abs(r.obs - want).max() <= 1e-12 * np.abs(want).max()
     assert np.abs(r.psi - psi).max() <= 1e-12 * np.abs(psi).max()
+
+
+def test_tensor_cdm_step_allocates_no_vector():
+    # The traced peak of a whole run does not grow with n_t, and within
+    # the loop (sampled from f_t, which every step calls once, into a
+    # preallocated array) it stays below half an n-vector above its start
+    # at step 1: no step allocates a vector.
+    M, K, F, obs = tensor_system()
+    vector = 8 * M.shape[0]
+    dt = 0.5 * dt_crit(K, M)
+    state = {"calls": 0, "start": 0}
+    growth = np.zeros(201, dtype=np.int64)
+
+    def f(t):
+        k = state["calls"]            # 0 before the loop, then step k - 1
+        state["calls"] = k + 1
+        if k == 2:
+            tracemalloc.reset_peak()
+            state["start"] = tracemalloc.get_traced_memory()[0]
+        elif k > 2:
+            growth[k] = tracemalloc.get_traced_memory()[1] - state["start"]
+        return np.sin(30.0 * t)
+
+    peaks = {}
+    for n_t in (50, 200):
+        state["calls"] = 0
+        growth[:] = 0
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            cdm_run(M, K, F, f, dt, n_t, obs_mat=obs)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert state["calls"] == n_t + 1
+        assert growth[3:n_t + 1].max() < vector // 2
+        # less the observer history, the one result that grows with n_t
+        peaks[n_t] = peak - 8 * obs.shape[0] * (n_t + 1)
+    assert abs(peaks[200] - peaks[50]) < vector // 2
+    # the set-up: the mass factorization, g and the three loop buffers
+    assert peaks[200] <= 8 * vector
 
 
 @pytest.mark.parametrize("f_t", [step_f, lambda t: np.nan], ids=["step", "nan"])
