@@ -67,7 +67,7 @@ class SourceSpec:
 class DofMap:
     """Lexicographic tensor numbering compacted to kept functions."""
 
-    compact_of_lex: np.ndarray   # (n1^3,), -1 where discarded
+    compact_of_lex: np.ndarray   # (n1^3,) int32, -1 where discarded
     lex_of_compact: np.ndarray   # (n_dof,)
     c_idx: np.ndarray            # compact DOFs supported on a cut element
     d_idx: np.ndarray            # the complement
@@ -164,7 +164,11 @@ class Grid:
         c_mask = np.zeros(n1**3, dtype=bool)
         c_mask[lex[self.kept_cut]] = True
         lex_of_compact = np.flatnonzero(kept_mask)
-        compact_of_lex = np.full(n1**3, -1, dtype=np.int64)
+        # int32 element blocks halve the index triplets of the assembly.
+        if lex_of_compact.shape[0] >= 2**31:
+            raise ValueError(f"{lex_of_compact.shape[0]} DOFs do not fit "
+                             "32-bit indices")
+        compact_of_lex = np.full(n1**3, -1, dtype=np.int32)
         compact_of_lex[lex_of_compact] = np.arange(lex_of_compact.shape[0])
         is_c = c_mask[lex_of_compact]
         c_idx, d_idx = np.flatnonzero(is_c), np.flatnonzero(~is_c)
@@ -475,9 +479,12 @@ def assemble(grid: Grid, params: StabilizationParams, rho: float = 1.0,
     inside part and the exact uncut element matrices; eigenvalue
     stabilization sees ``M_full`` as the uncut reference.  Uncut Lagrange
     elements carry the nodal GLL diagonal; every other mass block is dense
-    until the one lumping choice.  Passing a prebuilt ``cache`` reuses the
-    alpha-independent element integrals, which makes stabilization
-    parameter sweeps cheap.
+    until the one lumping choice.  Each stack is one gather of the
+    full-element matrices, combined with the cache in place; K is
+    converted, and its stack and triplets freed, before the mass stack
+    is built.  Passing a
+    prebuilt ``cache`` reuses the alpha-independent element integrals,
+    which makes stabilization parameter sweeps cheap.
     """
     if cache is None:
         cache = ElementIntegralCache(grid, octree_depth=octree_depth)
@@ -495,33 +502,32 @@ def assemble(grid: Grid, params: StabilizationParams, rho: float = 1.0,
     M_full = np.stack([M for M, _ in full])
     K_full = np.stack([K for _, K in full])
     sig = sig.reshape(-1)
-    cut_full = sig[n_uncut:]
 
-    K_el = K_full[sig] * sk
-    K_el[n_uncut:] = sk * (cache.K_in
-                           + alpha * (K_full[cut_full] - cache.K_in))
-    M_o = sm * (cache.M_in + alpha * (M_full[cut_full] - cache.M_in))
-    if params.epsilon > 0.0:
-        M_o = evs_stabilize(M_o, sm * M_full[cut_full], params.epsilon,
-                            params.f_lambda)
+    n_dof = grid.n_dof
+    K = _to_csr([(dofs, _blend(K_full, sig, cache.K_in, n_uncut, alpha, sk))],
+                n_dof)
+    # Dense mass blocks from element ``dense`` on: the cut elements for
+    # the Lagrange family, whose uncut elements carry the GLL diagonal.
     if spec.family == "lagrange":
         w = gll_rule(spec.p).weights
         m_diag = sm * np.einsum("i,j,k->ijk", w, w, w).ravel()
         m_blocks = [(dofs[:n_uncut], np.tile(m_diag, (n_uncut, 1)))]
-        M_dense, dense_dofs = M_o, dofs[n_uncut:]
+        dense = n_uncut
     else:
-        m_blocks = []
-        M_dense = np.concatenate([sm * M_full[sig[:n_uncut]], M_o])
-        dense_dofs = dofs
+        m_blocks, dense = [], 0
+    M_dense = _blend(M_full, sig[dense:], cache.M_in, n_uncut - dense,
+                     alpha, sm)
+    if params.epsilon > 0.0:
+        M_o = M_dense[n_uncut - dense:]
+        M_o[...] = evs_stabilize(M_o, sm * M_full[sig[n_uncut:]],
+                                 params.epsilon, params.f_lambda)
     if params.lumping == "row_sum":
         M_dense = row_sum_lump(M_dense)
     elif params.lumping == "hrz":
         M_dense = hrz_lump(M_dense)
-    m_blocks.append((dense_dofs, M_dense))
-
-    n_dof = grid.n_dof
+    m_blocks.append((dofs[dense:], M_dense))
+    del M_dense
     M = _to_csr(m_blocks, n_dof)
-    K = _to_csr([(dofs, K_el)], n_dof)
     if source is not None:
         F_s = spatial_load(grid, source, alpha=alpha, rho=rho,
                            octree_depth=cache.octree_depth, q=cache.q,
@@ -531,22 +537,48 @@ def assemble(grid: Grid, params: StabilizationParams, rho: float = 1.0,
     return DiscreteSystem(M=M, K=K, F_s=F_s, grid=grid)
 
 
+def _blend(full, sig, inside, n_uncut, alpha, scale):
+    """Element stack ``scale full[sig]``, whose rows from ``n_uncut`` on
+    are cut elements with inside parts ``inside`` and become
+    ``scale (inside + alpha (full - inside))``: one gather, then in place,
+    the same operations in the same order as the expression."""
+    A = full[sig]
+    cut = A[n_uncut:]
+    cut -= inside
+    cut *= alpha
+    cut += inside
+    A *= scale
+    return A
+
+
 def _to_csr(blocks, n_dof):
-    """Sum of element blocks ``(dofs (E, n), values)`` as one CSR matrix;
-    values (E, n) are diagonal blocks, (E, n, n) dense ones."""
-    rows, cols, vals = [], [], []
+    """Sum of element blocks ``(dofs (E, n) int32, values)`` as one CSR
+    matrix in canonical form (sorted int32 indices, no duplicates, no
+    stored zeros); values (E, n) are diagonal blocks, (E, n, n) dense ones.
+
+    The int32 row and column triplets are written once, straight from the
+    broadcast blocks, and the values of a single block are its stack
+    itself, without a copy.  ``blocks`` is emptied: the COO matrix is the
+    last owner of the triplets and of the stacks, so they are freed as
+    soon as the compressed rows exist, before the zeros are pruned.
+    """
+    size = sum(v.size for _, v in blocks)
+    rows = np.empty(size, dtype=np.int32)
+    cols = np.empty(size, dtype=np.int32)
+    start = 0
     for dofs, v in blocks:
-        if v.ndim == 3:
-            r, c = np.broadcast_arrays(dofs[:, :, None], dofs[:, None, :])
-        else:
-            r = c = dofs
-        rows.append(r.ravel())
-        cols.append(c.ravel())
-        vals.append(v.ravel())
-    A = sp.coo_matrix(
-        (np.concatenate(vals),
-         (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n_dof, n_dof)).tocsr()
+        r, c = ((dofs[:, :, None], dofs[:, None, :]) if v.ndim == 3
+                else (dofs, dofs))
+        rows[start:start + v.size].reshape(v.shape)[...] = r
+        cols[start:start + v.size].reshape(v.shape)[...] = c
+        start += v.size
+    del v                     # the last stack: now only blocks holds them
+    vals = (blocks[0][1].ravel() if len(blocks) == 1
+            else np.concatenate([v.ravel() for _, v in blocks]))
+    blocks.clear()
+    A = sp.coo_matrix((vals, (rows, cols)), shape=(n_dof, n_dof))
+    del rows, cols, vals
+    A = A.tocsr()
     A.eliminate_zeros()
     return A
 
@@ -747,6 +779,8 @@ def spatial_load(grid: Grid, source: SourceSpec, alpha: float,
     each element sums its leaves in order, so neither the chunks nor a
     ``cache`` of this grid and depth, which supplies the cut elements'
     leaves (and its leaf tables when ``q`` matches), changes a bit.
+    Without a cut element near the source, no partition runs and the
+    tables hold only the depth-0 interval, again without changing a bit.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must be in (0, 1]")
@@ -754,8 +788,6 @@ def spatial_load(grid: Grid, source: SourceSpec, alpha: float,
     if cache is not None and (cache.grid is not grid
                               or cache.octree_depth != octree_depth):
         raise ValueError("the cache belongs to another grid or octree depth")
-    rules = (cache._rules if cache is not None and cache.q == q
-             else _LeafRules(grid, octree_depth, q))
     src_local = np.asarray(source.x_local, dtype=float)
     if grid.boundary_fitted:
         src_grid = src_local
@@ -767,12 +799,17 @@ def spatial_load(grid: Grid, source: SourceSpec, alpha: float,
     near = np.flatnonzero(dist <= 14.0 * source.sigma)
     ijk, lo, hi = grid.kept[near], lo[near], hi[near]
     cut = np.flatnonzero(grid.kept_cut[near])
+    # Uncut elements need only the depth-0 interval of the tables.
+    rules = (cache._rules if cache is not None and cache.q == q
+             else _LeafRules(grid, octree_depth if cut.size else 0, q))
     if cache is not None:
         cut_no = (np.cumsum(grid.kept_cut) - 1)[near[cut]]  # cache position
         cut_ids = [cache._leaf_ids[e] for e in cut_no]
         cut_cls = [cache._leaf_cls[e] for e in cut_no]
-    else:
+    elif cut.size:
         cut_ids, cut_cls = rules.partition(lo[cut], hi[cut])
+    else:
+        cut_ids = cut_cls = ()
     ids = [np.zeros((1, 3), dtype=np.int32)] * near.size
     cls = [np.array([ElementClass.INSIDE], dtype=np.int8)] * near.size
     for k, i, c in zip(cut, cut_ids, cut_cls):
