@@ -560,7 +560,8 @@ def _to_csr(blocks, n_dof):
     broadcast blocks, and the values of a single block are its stack
     itself, without a copy.  ``blocks`` is emptied: the COO matrix is the
     last owner of the triplets and of the stacks, so they are freed as
-    soon as the compressed rows exist, before the zeros are pruned.
+    soon as the compressed rows exist, before the zeros are pruned and
+    ``data`` and ``indices`` are copied down to their nnz entries.
     """
     size = sum(v.size for _, v in blocks)
     rows = np.empty(size, dtype=np.int32)
@@ -580,6 +581,11 @@ def _to_csr(blocks, n_dof):
     del rows, cols, vals
     A = A.tocsr()
     A.eliminate_zeros()
+    # scipy keeps views of the triplet-sized buffers unless fewer than
+    # half the entries remain; copy them down to nnz.
+    if A.data.base is not None and A.data.base.size > A.nnz:
+        A.data = A.data.copy()
+        A.indices = A.indices.copy()
     return A
 
 

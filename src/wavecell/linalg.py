@@ -52,14 +52,17 @@ def factorize(A) -> Factorization:
 
     Coupling is read from the rows, which suffices for a symmetric matrix;
     stored zeros do not couple.  A non-positive pivot or isolated diagonal
-    entry raises :class:`IndefiniteMatrixError`.
+    entry raises :class:`IndefiniteMatrixError`.  The row index of every
+    stored entry, the scratch of that test, has the matrix's index type
+    and is freed before SuperLU runs; so is the CSR slice of the coupled
+    block, of which only the CSC copy handed to SuperLU is alive.
     """
     A = sp.csr_matrix(A)
     n = A.shape[0]
     if A.shape[0] != A.shape[1]:
         raise ValueError("matrix must be square")
     d = A.diagonal()
-    rows = np.repeat(np.arange(n), np.diff(A.indptr))
+    rows = np.repeat(np.arange(n, dtype=A.indices.dtype), np.diff(A.indptr))
     is_coupled = np.zeros(n, dtype=bool)
     is_coupled[rows[(A.indices != rows) & (A.data != 0.0)]] = True
     del rows                      # one index per stored entry
@@ -67,13 +70,15 @@ def factorize(A) -> Factorization:
     coupled = np.flatnonzero(is_coupled)
     lu = None
     if coupled.size:
-        block = A if coupled.size == n else A[coupled][:, coupled]
+        # The CSR slice is a temporary, gone before SuperLU runs.
+        block = (A if coupled.size == n else A[coupled][:, coupled]).tocsc()
         try:
-            lu = spla.splu(block.tocsc(), permc_spec="MMD_AT_PLUS_A",
+            lu = spla.splu(block, permc_spec="MMD_AT_PLUS_A",
                            diag_pivot_thresh=0.0,
                            options={"SymmetricMode": True})
         except RuntimeError as exc:   # singular factor
             raise IndefiniteMatrixError(f"factorization failed: {exc}") from exc
+        del block
         pivots = np.concatenate([pivots, lu.U.diagonal()])
     if np.any(pivots <= 0.0) or not np.all(np.isfinite(pivots)):
         raise IndefiniteMatrixError(

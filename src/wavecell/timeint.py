@@ -19,6 +19,9 @@ Three schemes:
   integrated set ``c``.  The d-part advances with the central difference
   method, the c-part with the trapezoidal rule using the already updated
   d values; stability is then governed by the explicit subsystem alone.
+  M is factored only for the d-row diagonal, the check that no d row
+  couples and the initial acceleration, and that factor is freed before
+  S_cc = M_cc + beta dt^2 K_cc is factored: one LU is alive at a time.
 
 How a matrix is structured and solved (diagonal rows by division, the
 coupled rest by one sparse factor) is left to :func:`linalg.factorize`.
@@ -221,6 +224,8 @@ def imex_run(M, K, F_s, f_t, dt: float, n_t: int, c_idx, d_idx,
     state at t_k; the c-part then steps with the Newmark scheme against
     the already updated d values at t_{k+1}.  Requires the d mass rows to
     be exactly diagonal, i.e. solved by division in ``factorize(M)``.
+    That factor yields only m_d, this check and a(0) = M^-1 f_t(0) F_s,
+    and is freed before S_cc is factored, so the run never holds two LUs.
     Degenerates to ``cdm_run`` when c is empty and to ``newmark_run`` when
     d is empty.
     """
@@ -236,20 +241,26 @@ def imex_run(M, K, F_s, f_t, dt: float, n_t: int, c_idx, d_idx,
     K = K.tocsr()
 
     t0 = time.perf_counter()
-    K_c = K[c_idx]
-    S_fact = factorize(M[c_idx][:, c_idx] + (beta * dt * dt) * K_c[:, c_idx])
     M_fact = factorize(M)
     if np.isin(d_idx, M_fact.coupled).any():
         raise ValueError("d mass rows couple to other DOFs, so the mass is "
                          "not diagonal on the explicit set; the basis/lumping "
                          "choice does not support the implicit-explicit split")
     m_d = M_fact.diag[d_idx]
+    timings.factorization += time.perf_counter() - t0
+    a = M_fact.solve(f_t(0.0) * F_s)
+    del M_fact                    # one LU at a time: free M's before S's
+
+    t0 = time.perf_counter()
+    K_c = K[c_idx]
+    S_fact = factorize(M[c_idx][:, c_idx] + (beta * dt * dt) * K_c[:, c_idx])
     K_d = K[d_idx]
     timings.factorization += time.perf_counter() - t0
 
-    a = M_fact.solve(f_t(0.0) * F_s)
     a_c = a[c_idx]
     psi_prev_d = (0.5 * dt * dt) * a[d_idx]
+    F_d = F_s[d_idx]
+    F_c = F_s[c_idx]
     psi_c = np.zeros(c_idx.shape[0])
     v_c = np.zeros(c_idx.shape[0])
     rec.record(0, psi)
@@ -258,7 +269,7 @@ def imex_run(M, K, F_s, f_t, dt: float, n_t: int, c_idx, d_idx,
         t_k = k * dt
         t_new = t_k + dt
         t0 = time.perf_counter()
-        rhs_d = f_t(t_k) * F_s[d_idx] - K_d @ psi
+        rhs_d = f_t(t_k) * F_d - K_d @ psi
         timings.rhs += time.perf_counter() - t0
         t0 = time.perf_counter()
         psi_d_new = 2.0 * psi[d_idx] - psi_prev_d + (dt * dt) * (rhs_d / m_d)
@@ -269,7 +280,7 @@ def imex_run(M, K, F_s, f_t, dt: float, n_t: int, c_idx, d_idx,
         v_pred = v_c + (dt * (1.0 - gamma)) * a_c
         psi[c_idx] = psi_c_pred
         t0 = time.perf_counter()
-        rhs_c = f_t(t_new) * F_s[c_idx] - K_c @ psi
+        rhs_c = f_t(t_new) * F_c - K_c @ psi
         timings.rhs += time.perf_counter() - t0
         t0 = time.perf_counter()
         a_c = S_fact.solve(rhs_c)

@@ -460,11 +460,15 @@ def test_assemble_memory():
     assemble(grid, params, cache=cache, source=None)
     tracemalloc.start()
     try:
-        assemble(grid, params, cache=cache, source=None)
+        system = assemble(grid, params, cache=cache, source=None)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 1.1 * 17.0e6
+    # no idle triplet-sized buffers: M and K hold exactly their nnz slots
+    for A in (system.M, system.K):
+        for buf in (A.data, A.indices):
+            assert (buf if buf.base is None else buf.base).size == A.nnz
 
 
 def test_cache_builds_are_bit_identical(benchmark_geometry):

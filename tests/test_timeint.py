@@ -1,9 +1,12 @@
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from wavecell import timeint
 from wavecell.assembly import Grid, TensorSystem
 from wavecell.basis import BasisSpec
 from wavecell.geometry import ImmersedGeometry
@@ -306,6 +309,30 @@ def test_imex_rejects_bad_partitions():
     with pytest.raises(ValueError, match="not diagonal"):
         imex_run(M_cons, K, F, zero_f, 1e-3, 3, np.array([], dtype=int),
                  np.arange(4))
+
+
+def test_imex_holds_one_factor_at_a_time(monkeypatch):
+    # The mass factor serves only m_d, the coupling check and a(0): it is
+    # freed before S is factored, so no two LUs are alive together.  The
+    # c rows 1 and 2 of this mass couple, so both factors hold an LU.
+    M, K = bar_system()
+    M = M.tolil()
+    M[1, 2] = M[2, 1] = 0.01
+    F = np.array([0.0, 1.0, 0.5, 0.2])
+    factors, lu_dims = [], []
+
+    def tracked(A):
+        gc.collect()
+        assert all(ref() is None for ref in factors)
+        fac = factorize(A)
+        factors.append(weakref.ref(fac))
+        lu_dims.append(fac.coupled.size)
+        return fac
+
+    monkeypatch.setattr(timeint, "factorize", tracked)
+    imex_run(M.tocsr(), K, F, np.sin, 1e-3, 5, np.array([1, 2]),
+             np.array([0, 3]))
+    assert lu_dims == [2, 2]
 
 
 def test_imex_critical_time_step_matches_subsystem():
