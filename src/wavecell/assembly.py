@@ -220,9 +220,12 @@ class _LeafRules:
 
     Every octree leaf of an element is a product of three dyadic intervals
     of the reference element, so its quadrature points, weights and basis
-    values are table lookups.  Tables are built once per 1D basis
-    signature.  The load and the cut-element integrals map leaves to
-    points through the same :meth:`coords`.
+    values are table lookups.  The basis values ``V`` and derivatives ``D``
+    are evaluated once per 1D boundary signature, shape (signatures,
+    intervals, q, p+1) each; ``sig[e]`` is the signature of 1D element e,
+    so ``V[sig[ijk], ids]`` are the three directions' values of leaves
+    ``ids`` (..., 3) of elements ``ijk``.  The load and the cut-element
+    integrals map leaves to points through the same :meth:`coords`.
     """
 
     def __init__(self, grid: Grid, max_depth: int, q: int):
@@ -233,23 +236,10 @@ class _LeafRules:
         starts, lengths, self.offsets = _dyadic_intervals(max_depth)
         self.xi = starts[:, None] + (g.nodes[None, :] + 1.0) / 2.0 * lengths[:, None]
         self.w = g.weights[None, :] * (lengths[:, None] / 2.0)
-        self._tables: dict = {}
-
-    def tables(self, e: int):
-        """Per-interval basis values and derivatives ``(V, D)`` on element
-        ``e``, shape (intervals, q, p+1) each."""
-        key = int(_signature(self.grid.spec, e))
-        if key not in self._tables:
-            self._tables[key] = self.grid.spec.eval_element(e, self.xi)
-        return self._tables[key]
-
-    def values(self, e, ids):
-        """Basis values (..., q, p+1) at the Gauss points of the intervals
-        ``ids`` on elements ``e``, both of one shape."""
-        _, first, inv = np.unique(_signature(self.grid.spec, e),
-                                  return_index=True, return_inverse=True)
-        V = np.stack([self.tables(int(e.flat[f]))[0] for f in first])
-        return V[inv.reshape(e.shape), ids]
+        spec = grid.spec
+        _, first, self.sig = np.unique(_signature(spec, np.arange(spec.n_e)),
+                                       return_index=True, return_inverse=True)
+        self.V, self.D = spec.eval_element(first[:, None, None], self.xi)
 
     def axis_points(self, lo, hi, ids):
         """Grid-frame Gauss coordinates (N, 3, q) per direction of the
@@ -266,28 +256,27 @@ class _LeafRules:
 
     def partition(self, lo, hi):
         """Octree leaves of the element boxes ``lo``, ``hi`` (n, 3), in one
-        batched partition: per box, the flat dyadic interval ids (L, 3) and
-        the classes (L,) of its leaves, as two lists."""
+        batched partition, as three flat arrays in box order: each leaf's
+        box (L,), its flat dyadic interval ids (L, 3) and its class (L,)."""
         leaves = octree_partition(self.grid.geom, (lo, hi), self.max_depth)
         o = leaves.owner
         pos = np.rint((leaves.lo - lo[o]) / (hi[o] - lo[o])
                       * (2.0 ** leaves.depth[:, None])).astype(int)
         ids = (self.offsets[leaves.depth][:, None] + pos).astype(np.int32)
-        split = np.cumsum(np.bincount(o, minlength=lo.shape[0]))[:-1]
-        return np.split(ids, split), np.split(leaves.cls, split)
+        return o, ids, leaves.cls
 
     def factors(self, ijk, depth: int):
         """Outer products w V (x) V and w D (x) D at the Gauss points of the
         depth-``depth`` cells, (S, 2, 2^depth, q, n, n), one per signature
-        of elements ``ijk`` (C, 3), and each element's index into them (C, 3)."""
-        _, first, inv = np.unique(_signature(self.grid.spec, ijk),
-                                  return_index=True, return_inverse=True)
+        that elements ``ijk`` (C, 3) use (so S = 1, a table
+        :func:`_contract` shares, when they use one), and each element's
+        index into them (C, 3)."""
+        used, index = np.unique(self.sig[ijk], return_inverse=True)
         ids = self.offsets[depth] + np.arange(2 ** depth)
         w = self.w[ids][:, :, None, None]
-        return (np.array([[w * A[ids, :, :, None] * A[ids, :, None, :]
-                           for A in self.tables(int(ijk.flat[f]))]
-                          for f in first]),
-                inv.reshape(ijk.shape))
+        return (np.stack([w * A[:, ids, :, :, None] * A[:, ids, :, None, :]
+                          for A in (self.V[used], self.D[used])], axis=1),
+                index.reshape(ijk.shape))
 
 
 class ElementIntegralCache:
@@ -305,7 +294,9 @@ class ElementIntegralCache:
 
     Inside leaves mark their maximum-depth cells, leaves still cut at
     maximum depth their inside Gauss points, each on its lattice, which
-    :func:`_contract` sums; the leaves are kept for :func:`spatial_load`.
+    :func:`_contract` sums.  The leaves are kept for :func:`spatial_load`
+    as :meth:`_LeafRules.partition` returns them: flat arrays of each
+    leaf's cut element (its position in ``M_in``), interval ids and class.
     """
 
     def __init__(self, grid: Grid, octree_depth: int = DEFAULT_OCTREE_DEPTH):
@@ -321,10 +312,7 @@ class ElementIntegralCache:
         lo = grid.origin + cut * grid.h
         hi = lo + grid.h
         # The load's leaves too: one batched partition of all cut elements.
-        self._leaf_ids, self._leaf_cls = rules.partition(lo, hi)
-        ids, cls = np.concatenate(self._leaf_ids), np.concatenate(self._leaf_cls)
-        owner = np.repeat(np.arange(len(self._leaf_cls)),
-                          [c.size for c in self._leaf_cls])
+        self._leaves = owner, ids, cls = rules.partition(lo, hi)
         depth = np.searchsorted(rules.offsets, ids[:, 0], side="right") - 1
         pos = ids - rules.offsets[depth][:, None]   # index within its depth
         F, index = rules.factors(cut, D)
@@ -353,12 +341,14 @@ class ElementIntegralCache:
         self.K_in[els] += K
 
     def full_element(self, ijk):
-        """Exact reference ``(M, K)`` of the whole element (indicator one):
-        the contraction on its one depth-0 cell."""
-        F, sig = self._rules.factors(np.array([ijk]), 0)
-        M, K = _contract(np.ones((1, 1, 1, 1), dtype=bool),
-                         [F.sum(axis=3)[i] for i in sig.T])
-        return M[0], K[0]
+        """Exact reference ``(M, K)`` of whole elements ``ijk`` (..., 3)
+        (indicator one), each (..., (p+1)^3, (p+1)^3): the contraction on
+        their one depth-0 cell, all elements in one batch."""
+        ijk = np.asarray(ijk)
+        F, sig = self._rules.factors(ijk.reshape(-1, 3), 0)
+        MK = _contract(np.ones((len(sig), 1, 1, 1), dtype=bool),
+                       [F.sum(axis=3)[i] for i in sig.T])
+        return tuple(A.reshape(ijk.shape[:-1] + A.shape[1:]) for A in MK)
 
 
 # Bytes of a chunk's largest array: about an L2 cache, as larger was slower.
@@ -496,11 +486,9 @@ def assemble(grid: Grid, params: StabilizationParams, rho: float = 1.0,
     n_uncut = grid.n_kept - cache.M_in.shape[0]
     dofs = grid.element_dofs(ijk)
     # The exact full-element matrices, one pair per boundary signature.
-    _, first, sig = np.unique(_signature(spec, ijk), axis=0,
+    _, first, sig = np.unique(cache._rules.sig[ijk], axis=0,
                               return_index=True, return_inverse=True)
-    full = [cache.full_element(ijk[i]) for i in first]
-    M_full = np.stack([M for M, _ in full])
-    K_full = np.stack([K for _, K in full])
+    M_full, K_full = cache.full_element(ijk[first])
     sig = sig.reshape(-1)
 
     n_dof = grid.n_dof
@@ -781,10 +769,11 @@ def spatial_load(grid: Grid, source: SourceSpec, alpha: float,
     the outer product of the sums of A_d over their points; leaves still
     cut at maximum depth contract the indicator of
     :meth:`Grid.point_alpha_mask` at their points with A_0, A_1 and A_2.
-    All leaves go in one batched pass, in chunks of whole elements, and
-    each element sums its leaves in order, so neither the chunks nor a
-    ``cache`` of this grid and depth, which supplies the cut elements'
-    leaves (and its leaf tables when ``q`` matches), changes a bit.
+    The near cut elements' leaves are selected from the flat leaves of a
+    ``cache`` of this grid and depth (whose tables serve too when ``q``
+    matches), or come from one partition.  All leaves go in one batched
+    pass, in chunks of whole elements, and each element sums its leaves
+    in partition order, so neither the chunks nor the cache changes a bit.
     Without a cut element near the source, no partition runs and the
     tables hold only the depth-0 interval, again without changing a bit.
     """
@@ -808,20 +797,24 @@ def spatial_load(grid: Grid, source: SourceSpec, alpha: float,
     # Uncut elements need only the depth-0 interval of the tables.
     rules = (cache._rules if cache is not None and cache.q == q
              else _LeafRules(grid, octree_depth if cut.size else 0, q))
+    # One depth-0 inside leaf per near uncut element, and the near cut
+    # elements' leaves, from the cache (whose cut element e is near
+    # element box[e], or -1) or from a partition of their own.
+    uncut = np.flatnonzero(~grid.kept_cut[near])
+    leaves = [(uncut, np.zeros((uncut.size, 3), dtype=np.int32),
+               np.full(uncut.size, ElementClass.INSIDE, dtype=np.int8))]
     if cache is not None:
-        cut_no = (np.cumsum(grid.kept_cut) - 1)[near[cut]]  # cache position
-        cut_ids = [cache._leaf_ids[e] for e in cut_no]
-        cut_cls = [cache._leaf_cls[e] for e in cut_no]
+        box = np.full(cache.M_in.shape[0], -1)
+        box[(np.cumsum(grid.kept_cut) - 1)[near[cut]]] = cut
+        owner, ids, cls = cache._leaves
+        mine = box[owner] >= 0
+        leaves.append((box[owner[mine]], ids[mine], cls[mine]))
     elif cut.size:
-        cut_ids, cut_cls = rules.partition(lo[cut], hi[cut])
-    else:
-        cut_ids = cut_cls = ()
-    ids = [np.zeros((1, 3), dtype=np.int32)] * near.size
-    cls = [np.array([ElementClass.INSIDE], dtype=np.int8)] * near.size
-    for k, i, c in zip(cut, cut_ids, cut_cls):
-        ids[k], cls[k] = i, c
-    owner = np.repeat(np.arange(near.size), [c.size for c in cls])
-    ids, cls = np.concatenate(ids), np.concatenate(cls)
+        owner, ids, cls = rules.partition(lo[cut], hi[cut])
+        leaves.append((cut[owner], ids, cls))
+    owner, ids, cls = (np.concatenate(a) for a in zip(*leaves))
+    order = np.argsort(owner, kind="stable")
+    owner, ids, cls = owner[order], ids[order], cls[order]
 
     n = grid.spec.p + 1
     # A leaf's arrays: its factors and result, and its points if pointwise.
@@ -833,7 +826,7 @@ def spatial_load(grid: Grid, source: SourceSpec, alpha: float,
         x = rules.axis_points(lo[k], hi[k], i)      # (N, 3, q)
         # Rotation keeps distances, so the factors live in the grid frame.
         g = np.exp(-0.5 * (x - src_grid[:, None]) ** 2 / source.sigma**2)
-        A = (rules.w[i] * g)[..., None] * rules.values(ijk[k], i)
+        A = (rules.w[i] * g)[..., None] * rules.V[rules.sig[ijk[k]], i]
         F_leaf = np.empty((c.size, n, n, n))
         whole = c != ElementClass.CUT
         s = A[whole].sum(axis=2)                    # (N, 3, n)

@@ -479,10 +479,6 @@ def write_study_csv(path, reports):
         writer = csv.writer(fh)
         writer.writerow(STUDY_COLUMNS)
         for r in reports:
-            row = [r.method, r.p, r.n_e, r.n_dof,
-                   "" if r.dt_crit is None else repr(float(r.dt_crit)),
-                   repr(float(r.dt)),
-                   "" if r.error is None else repr(float(r.error)),
-                   repr(float(r.t_fact)), repr(float(r.t_rhs)),
-                   repr(float(r.t_binsert))]
-            writer.writerow(row)
+            cells = (getattr(r, name) for name in STUDY_COLUMNS)
+            writer.writerow("" if v is None else (
+                repr(float(v)) if isinstance(v, float) else v) for v in cells)

@@ -4,7 +4,8 @@ Three schemes:
 
 * ``newmark_run``: the implicit Newmark-beta family (trapezoidal rule for
   beta = 1/4, gamma = 1/2).  The iteration matrix S = M + beta dt^2 K is
-  factorized once.
+  factorized once, after the factor of M has served the initial
+  acceleration and been freed.
 * ``cdm_run``: the central difference method in two-step displacement
   form, bootstrapped with a Taylor step.  Only M is factorized.  With
   g = dt^2 M^-1 F_s solved once, a step is
@@ -127,7 +128,9 @@ def newmark_run(M, K, F_s, f_t, dt: float, n_t: int, obs_mat=None,
     ``s_factory``, when given, is a zero-argument callable returning a
     factorization of S = M + beta dt^2 K (anything with ``solve``); it lets
     separable grids solve S by mass-preconditioned conjugate gradients,
-    and K then only needs to support matrix-vector products.
+    and K then only needs to support matrix-vector products.  M is
+    factored only for a(0) = M^-1 f_t(0) F_s, and that factor is freed
+    before S is built, so the run never holds two LUs.
     """
     n = M.shape[0]
     psi = np.zeros(n)
@@ -136,12 +139,15 @@ def newmark_run(M, K, F_s, f_t, dt: float, n_t: int, obs_mat=None,
     rec = _Recorder(obs_mat, n_t, dt)
 
     t0 = time.perf_counter()
-    S_fact = (s_factory() if s_factory is not None
-              else factorize(M + (beta * dt * dt) * K))
     M_fact = factorize(M)
     timings.factorization += time.perf_counter() - t0
-
     a = M_fact.solve(f_t(0.0) * F_s)
+    del M_fact                    # one LU at a time: free M's before S's
+
+    t0 = time.perf_counter()
+    S_fact = (s_factory() if s_factory is not None
+              else factorize(M + (beta * dt * dt) * K))
+    timings.factorization += time.perf_counter() - t0
     rec.record(0, psi)
 
     for k in range(n_t):

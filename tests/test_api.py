@@ -74,27 +74,51 @@ def public_members(tree):
                 yield f"{cls.name}.{name}"
 
 
+def read_by_name(tree):
+    """Names read as ``getattr(x, name) for name in NAMES``, NAMES a
+    module-level tuple of string constants (the study CSV's columns)."""
+    tuples = {t.id: [getattr(e, "value", None) for e in node.value.elts]
+              for node in tree.body if isinstance(node, ast.Assign)
+              and isinstance(node.value, ast.Tuple) for t in node.targets
+              if isinstance(t, ast.Name)}
+    return {name for comp in ast.walk(tree)
+            if isinstance(comp, (ast.GeneratorExp, ast.ListComp))
+            for gen in comp.generators
+            if getattr(gen.iter, "id", None) in tuples
+            and any(getattr(call.func, "id", None) == "getattr"
+                    and getattr(call.args[1], "id", None) == gen.target.id
+                    for call in ast.walk(comp.elt)
+                    if isinstance(call, ast.Call))
+            for name in tuples[gen.iter.id]}
+
+
 def unread(members, readers):
     read = {node.attr for tree in readers for node in ast.walk(tree)
             if isinstance(node, ast.Attribute)
             and isinstance(node.ctx, ast.Load)}
+    read = read.union(*map(read_by_name, readers))
     return [m for m in members if m.split(".")[1] not in read]
 
 
 @pytest.mark.parametrize("module", sorted(MODULES))
 def test_every_public_member_is_read(module):
     # Methods and dataclass fields must be read as an attribute by the
-    # package or the benchmark scripts, not only by tests.
+    # package or the benchmark scripts, not only by tests: by attribute
+    # syntax, or by name with getattr over a constant tuple of names.
     assert unread(list(public_members(MODULES[module])), READERS) == []
 
 
 def test_unread_field_is_caught():
     tree = ast.parse("from dataclasses import dataclass\n"
+                     "NAMES = ('by_name',)\nOTHER = ('never_read_anywhere',)\n"
                      "@dataclass(frozen=True)\nclass Probe:\n"
                      "    kept: int\n    never_read_anywhere: int\n"
+                     "    by_name: int\n"
                      "    def used(self):\n        return self.kept\n"
-                     "print(Probe(1, 2).used())\n")
+                     "print(Probe(1, 2, 3).used())\n"
+                     "print([getattr(Probe(1, 2, 3), n) for n in NAMES])\n"
+                     "print([n for n in OTHER])\n")
     members = list(public_members(tree))
     assert members == ["Probe.kept", "Probe.never_read_anywhere",
-                       "Probe.used"]
+                       "Probe.by_name", "Probe.used"]
     assert unread(members, READERS + [tree]) == ["Probe.never_read_anywhere"]

@@ -413,10 +413,12 @@ def test_cache_chunks_change_no_element(benchmark_geometry, monkeypatch,
 def test_full_element_equals_kronecker_build(family, n_e, p):
     # Every element of a B-spline p=2, n_e=5 grid has its own boundary
     # signature; each full element against np.kron of the 1D Gauss
-    # matrices of the whole element.
+    # matrices of the whole element, and the batch of all elements, of
+    # shape (n_e, n_e, n_e, 3), against the single-element calls.
     grid = bf_grid(family, p, n_e)
     cache = ElementIntegralCache(grid, octree_depth=2)
     g = gl_rule(p + 1)
+    M_all, K_all = cache.full_element(np.moveaxis(np.indices((n_e,) * 3), 0, -1))
     for ijk in np.ndindex(n_e, n_e, n_e):
         V, D = zip(*(grid.spec.eval_element(e, g.nodes) for e in ijk))
         m = [(A * g.weights[:, None]).T @ A for A in V]
@@ -425,6 +427,8 @@ def test_full_element_equals_kronecker_build(family, n_e, p):
         K_ref = (kron3(k[0], m[1], m[2]) + kron3(m[0], k[1], m[2])
                  + kron3(m[0], m[1], k[2]))
         M, K = cache.full_element(ijk)
+        assert M_all[ijk].tobytes() == M.tobytes()
+        assert K_all[ijk].tobytes() == K.tobytes()
         for got, want in ((M, M_ref), (K, K_ref)):
             assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
         assert np.abs(K.sum(axis=1)).max() <= 1e-14 * np.abs(K).sum(axis=1).max()
@@ -556,7 +560,7 @@ def reference_load(grid, source, alpha, depth, rho):
     src = source_in_grid_frame(grid, source)
     F = np.zeros(grid.n_dof)
     for ijk, box, ids, _ in near_leaves(grid, source, rules):
-        V = [rules.tables(int(e))[0][ids[:, d]] for d, e in enumerate(ijk)]
+        V = [rules.V[rules.sig[e]][ids[:, d]] for d, e in enumerate(ijk)]
         w = np.einsum("lq,lr,ls->lqrs", *(rules.w[ids[:, d]] for d in range(3)))
         x = rules.coords(*box, ids)
         a_fcm = np.where(grid.point_alpha_mask(x), 1.0, alpha)
@@ -700,16 +704,21 @@ def test_spatial_load_memory():
 
 
 def test_cache_keeps_classes_of_batched_leaves(small_grid, small_cache):
-    # per cut element, the leaves of its own octree partition in order
+    # per cut element, its slice of the flat leaves is the leaves of its
+    # own octree partition in order
     depth = small_cache.octree_depth
     cut = small_grid.kept[small_grid.kept_cut]
-    assert len(small_cache._leaf_cls) == len(small_cache._leaf_ids) == len(cut)
-    for ijk, cls, ids in zip(cut, small_cache._leaf_cls, small_cache._leaf_ids):
+    owner, ids, cls = small_cache._leaves
+    assert owner.shape == cls.shape == ids.shape[:1]
+    assert np.array_equal(np.unique(owner), np.arange(len(cut)))
+    assert (np.diff(owner) >= 0).all()
+    for e, ijk in enumerate(cut):
         box = small_grid.element_box(ijk)
         leaves = octree_partition(small_grid.geom, box, depth)
-        assert np.array_equal(cls, leaves.cls)
-        assert np.array_equal(ids, reference_leaf_ids(small_cache._rules.offsets,
-                                                      box, leaves))
+        assert np.array_equal(cls[owner == e], leaves.cls)
+        assert np.array_equal(ids[owner == e],
+                              reference_leaf_ids(small_cache._rules.offsets,
+                                                 box, leaves))
 
 
 def test_cd_partition_matches_support_scan(small_grid):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -426,6 +427,18 @@ def test_study_csv_layout(tmp_path):
     assert cells[4] == ""   # no critical step measured
     assert cells[6] == ""   # no error measured
     assert float(cells[5]) == 1e-3
+    # every cell is its column's report attribute, floats to the last digit
+    rep = dataclasses.replace(rep, dt_crit=np.float64(1.1597e-3),
+                              error=0.1 + 0.2, t_fact=np.float64(1) / 3)
+    write_study_csv(path, [rep, rep])
+    lines = path.read_text().strip().splitlines()
+    assert len(lines) == 3 and lines[1] == lines[2]
+    for name, cell in zip(STUDY_COLUMNS, lines[1].split(","), strict=True):
+        v = getattr(rep, name)
+        if isinstance(v, float):
+            assert cell == repr(float(v)) and float(cell) == v
+        else:
+            assert cell == str(v)
 
 
 def test_reference_run_keeps_the_source_position():

@@ -311,10 +311,16 @@ def test_imex_rejects_bad_partitions():
                  np.arange(4))
 
 
-def test_imex_holds_one_factor_at_a_time(monkeypatch):
-    # The mass factor serves only m_d, the coupling check and a(0): it is
-    # freed before S is factored, so no two LUs are alive together.  The
-    # c rows 1 and 2 of this mass couple, so both factors hold an LU.
+@pytest.mark.parametrize("run, want", [
+    (lambda M, K, F: imex_run(M, K, F, np.sin, 1e-3, 5, np.array([1, 2]),
+                              np.array([0, 3])), [2, 2]),
+    (lambda M, K, F: newmark_run(M, K, F, np.sin, 1e-3, 5), [2, 4]),
+], ids=["imex", "newmark"])
+def test_imex_holds_one_factor_at_a_time(monkeypatch, run, want):
+    # The mass factor serves only a(0), and for IMEX m_d and the coupling
+    # check: it is freed before S is factored, so no two LUs are alive
+    # together.  Rows 1 and 2 of this mass couple, so both factors hold an
+    # LU: the c block of S for IMEX, all of S for Newmark.
     M, K = bar_system()
     M = M.tolil()
     M[1, 2] = M[2, 1] = 0.01
@@ -330,9 +336,8 @@ def test_imex_holds_one_factor_at_a_time(monkeypatch):
         return fac
 
     monkeypatch.setattr(timeint, "factorize", tracked)
-    imex_run(M.tocsr(), K, F, np.sin, 1e-3, 5, np.array([1, 2]),
-             np.array([0, 3]))
-    assert lu_dims == [2, 2]
+    run(M.tocsr(), K, F)
+    assert lu_dims == want
 
 
 def test_imex_critical_time_step_matches_subsystem():
