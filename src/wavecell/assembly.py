@@ -35,6 +35,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from . import geometry
 from .basis import BasisSpec, gl_rule, gll_rule
@@ -216,7 +217,8 @@ def _signature(spec: BasisSpec, e) -> np.ndarray:
 
 
 class _LeafRules:
-    """Gauss-Legendre tables on the dyadic subintervals of [-1, 1].
+    """Gauss-Legendre tables of q = p+1 points on the dyadic subintervals
+    of [-1, 1], built and partitioned by :class:`ElementIntegralCache` only.
 
     Every octree leaf of an element is a product of three dyadic intervals
     of the reference element, so its quadrature points, weights and basis
@@ -228,11 +230,10 @@ class _LeafRules:
     integrals map leaves to points through the same :meth:`coords`.
     """
 
-    def __init__(self, grid: Grid, max_depth: int, q: int):
+    def __init__(self, grid: Grid, max_depth: int):
         self.grid = grid
         self.max_depth = max_depth
-        self.q = q
-        g = gl_rule(q)
+        g = gl_rule(grid.spec.p + 1)
         starts, lengths, self.offsets = _dyadic_intervals(max_depth)
         self.xi = starts[:, None] + (g.nodes[None, :] + 1.0) / 2.0 * lengths[:, None]
         self.w = g.weights[None, :] * (lengths[:, None] / 2.0)
@@ -294,9 +295,11 @@ class ElementIntegralCache:
 
     Inside leaves mark their maximum-depth cells, leaves still cut at
     maximum depth their inside Gauss points, each on its lattice, which
-    :func:`_contract` sums.  The leaves are kept for :func:`spatial_load`
-    as :meth:`_LeafRules.partition` returns them: flat arrays of each
-    leaf's cut element (its position in ``M_in``), interval ids and class.
+    :func:`_contract` sums.  The cache owns the octree leaves and their
+    tables, which :func:`spatial_load` reads too: the leaves as
+    :meth:`_LeafRules.partition` returns them, flat arrays of each leaf's
+    cut element (its position in ``M_in``), interval ids and class.  A
+    grid without a cut element gets only the depth-0 tables and no leaf.
     """
 
     def __init__(self, grid: Grid, octree_depth: int = DEFAULT_OCTREE_DEPTH):
@@ -305,10 +308,15 @@ class ElementIntegralCache:
         self.q = q = grid.spec.p + 1
         if self.octree_depth < 0:
             raise ValueError("octree depth must be >= 0")
-        self._rules = rules = _LeafRules(grid, D, q)
         cut = grid.kept[grid.kept_cut]
         self.M_in = np.zeros((cut.shape[0], q**3, q**3))
         self.K_in = np.zeros((cut.shape[0], q**3, q**3))
+        # Whole elements read only the depth-0 interval of the tables.
+        self._rules = rules = _LeafRules(grid, D if cut.size else 0)
+        if not cut.size:            # no partition and no lattice pass
+            self._leaves = (np.zeros(0, int), np.zeros((0, 3), np.int32),
+                            np.zeros(0, np.int8))
+            return
         lo = grid.origin + cut * grid.h
         hi = lo + grid.h
         # The load's leaves too: one batched partition of all cut elements.
@@ -518,8 +526,7 @@ def assemble(grid: Grid, params: StabilizationParams, rho: float = 1.0,
     M = _to_csr(m_blocks, n_dof)
     if source is not None:
         F_s = spatial_load(grid, source, alpha=alpha, rho=rho,
-                           octree_depth=cache.octree_depth, q=cache.q,
-                           cache=cache)
+                           octree_depth=cache.octree_depth, cache=cache)
     else:
         F_s = np.zeros(n_dof)
     return DiscreteSystem(M=M, K=K, F_s=F_s, grid=grid)
@@ -675,7 +682,6 @@ class TensorSystem:
         return out
 
     def stiffness_operator(self):
-        import scipy.sparse.linalg as spla
         n = self.n_dof
         op = spla.LinearOperator((n, n), matvec=self.k_matvec,
                                  rmatvec=self.k_matvec, dtype=float)
@@ -729,7 +735,6 @@ class _TensorCGFactorization:
     RTOL = 1e-13
 
     def __init__(self, tensor: "TensorSystem", beta: float, dt: float):
-        import scipy.sparse.linalg as spla
         d = tensor._m_diag
         self.n = d.shape[0]
         scale = beta * dt * dt
@@ -742,7 +747,6 @@ class _TensorCGFactorization:
             (self.n, self.n), matvec=lambda x: x / d, dtype=float)
 
     def solve(self, b):
-        import scipy.sparse.linalg as spla
         b = np.asarray(b, dtype=float)
         # At beta = 0 the start x0 = M^-1 b is already the solution.
         x, info = spla.cg(self._op, b, x0=b / self._mdiag, rtol=self.RTOL,
@@ -769,20 +773,24 @@ def spatial_load(grid: Grid, source: SourceSpec, alpha: float,
     the outer product of the sums of A_d over their points; leaves still
     cut at maximum depth contract the indicator of
     :meth:`Grid.point_alpha_mask` at their points with A_0, A_1 and A_2.
-    The near cut elements' leaves are selected from the flat leaves of a
-    ``cache`` of this grid and depth (whose tables serve too when ``q``
-    matches), or come from one partition.  All leaves go in one batched
-    pass, in chunks of whole elements, and each element sums its leaves
-    in partition order, so neither the chunks nor the cache changes a bit.
-    Without a cut element near the source, no partition runs and the
-    tables hold only the depth-0 interval, again without changing a bit.
+    The tables and the near cut elements' leaves come from ``cache``, a
+    cache of this grid and depth, or from one built here.  Its q = p+1
+    Gauss points per axis are the only rule; ``q`` may only restate it.
+    All leaves go in one batched pass, in chunks of whole elements, and
+    each element sums its leaves in partition order, so the chunks change
+    no bit.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must be in (0, 1]")
-    q = q if q is not None else grid.spec.p + 1
-    if cache is not None and (cache.grid is not grid
-                              or cache.octree_depth != octree_depth):
+    n = grid.spec.p + 1
+    if q is not None and q != n:
+        raise ValueError(f"q must be p+1 = {n}: the load integrates on the "
+                         f"cut-cell cache's leaves and tables, got q={q}")
+    if cache is None:
+        cache = ElementIntegralCache(grid, octree_depth)
+    elif cache.grid is not grid or cache.octree_depth != octree_depth:
         raise ValueError("the cache belongs to another grid or octree depth")
+    rules = cache._rules
     src_local = np.asarray(source.x_local, dtype=float)
     if grid.boundary_fitted:
         src_grid = src_local
@@ -793,32 +801,25 @@ def spatial_load(grid: Grid, source: SourceSpec, alpha: float,
     dist = np.linalg.norm(np.clip(src_grid, lo, hi) - src_grid, axis=1)
     near = np.flatnonzero(dist <= 14.0 * source.sigma)
     ijk, lo, hi = grid.kept[near], lo[near], hi[near]
-    cut = np.flatnonzero(grid.kept_cut[near])
-    # Uncut elements need only the depth-0 interval of the tables.
-    rules = (cache._rules if cache is not None and cache.q == q
-             else _LeafRules(grid, octree_depth if cut.size else 0, q))
     # One depth-0 inside leaf per near uncut element, and the near cut
-    # elements' leaves, from the cache (whose cut element e is near
-    # element box[e], or -1) or from a partition of their own.
-    uncut = np.flatnonzero(~grid.kept_cut[near])
-    leaves = [(uncut, np.zeros((uncut.size, 3), dtype=np.int32),
-               np.full(uncut.size, ElementClass.INSIDE, dtype=np.int8))]
-    if cache is not None:
-        box = np.full(cache.M_in.shape[0], -1)
-        box[(np.cumsum(grid.kept_cut) - 1)[near[cut]]] = cut
-        owner, ids, cls = cache._leaves
-        mine = box[owner] >= 0
-        leaves.append((box[owner[mine]], ids[mine], cls[mine]))
-    elif cut.size:
-        owner, ids, cls = rules.partition(lo[cut], hi[cut])
-        leaves.append((cut[owner], ids, cls))
-    owner, ids, cls = (np.concatenate(a) for a in zip(*leaves))
+    # elements' leaves from the cache, whose cut element e is near element
+    # box[e] (or -1).
+    kept_cut = grid.kept_cut
+    cut = np.flatnonzero(kept_cut[near])
+    uncut = np.flatnonzero(~kept_cut[near])
+    box = np.full(cache.M_in.shape[0], -1)
+    box[(np.cumsum(kept_cut) - 1)[near[cut]]] = cut
+    owner, ids, cls = cache._leaves
+    mine = box[owner] >= 0
+    owner = np.concatenate([uncut, box[owner[mine]]])
+    ids = np.concatenate([np.zeros((uncut.size, 3), np.int32), ids[mine]])
+    cls = np.concatenate([np.full(uncut.size, ElementClass.INSIDE, np.int8),
+                          cls[mine]])
     order = np.argsort(owner, kind="stable")
     owner, ids, cls = owner[order], ids[order], cls[order]
 
-    n = grid.spec.p + 1
     # A leaf's arrays: its factors and result, and its points if pointwise.
-    leaf_bytes = 8 * (3 * q * n + n**3 + 3 * q**3 * (cls == ElementClass.CUT))
+    leaf_bytes = 8 * (3 * n * n + n**3 + 3 * n**3 * (cls == ElementClass.CUT))
     F_near = np.empty((near.size, n**3))
     for els, e, i, c in _chunks(np.bincount(owner, leaf_bytes), owner,
                                 ids, cls):
@@ -839,7 +840,7 @@ def spatial_load(grid: Grid, source: SourceSpec, alpha: float,
         At = A[pw].swapaxes(-1, -2)                 # (N, 3, n, q)
         T = T @ A[pw, 2][:, None]                   # z: (N, q, q, n)
         T = At[:, None, 1] @ T                      # y: (N, q, n, n)
-        F_leaf[pw] = (At[:, 0] @ T.reshape(-1, q, n * n)).reshape(-1, n, n, n)
+        F_leaf[pw] = (At[:, 0] @ T.reshape(-1, n, n * n)).reshape(-1, n, n, n)
         F_near[els] = np.add.reduceat(F_leaf.reshape(c.size, -1),
                                       np.searchsorted(e, np.arange(els.size)))
     F = np.zeros(grid.n_dof)

@@ -70,8 +70,6 @@ def evs_stabilize(M_o, M_f, epsilon, f_lambda=1e-2):
     """
     M_o = np.asarray(M_o, dtype=float)
     M_f = np.asarray(M_f, dtype=float)
-    if epsilon == 0.0:
-        return M_o.copy()
     lam, V = np.linalg.eigh(0.5 * (M_o + np.swapaxes(M_o, -1, -2)))
     small = lam < f_lambda * lam[..., -1:]
     # Projector onto the small eigenspace, as one batched GEMM.
@@ -106,6 +104,4 @@ def hrz_lump(M, m_e=None):
     if m_e is None:
         m_e = M.sum(axis=(-2, -1))
     scale = np.asarray(m_e) / diag.sum(axis=-1)
-    if diag.ndim > 1:
-        return diag * scale[..., None]
-    return diag * scale
+    return diag * scale[..., None]

@@ -166,7 +166,7 @@ def newmark_run(M, K, F_s, f_t, dt: float, n_t: int, obs_mat=None,
         _check(psi, k + 1)
     return RunResult(method="newmark", dt=dt, t=rec.t, obs=rec.obs,
                      psi=psi, timings=timings,
-                     fact_dim=getattr(S_fact, "n", n))
+                     fact_dim=n)
 
 
 def cdm_run(M, K, F_s, f_t, dt: float, n_t: int, obs_mat=None) -> RunResult:
@@ -278,9 +278,9 @@ def imex_run(M, K, F_s, f_t, dt: float, n_t: int, c_idx, d_idx,
         rhs_d = f_t(t_k) * F_d - K_d @ psi
         timings.rhs += time.perf_counter() - t0
         t0 = time.perf_counter()
-        psi_d_new = 2.0 * psi[d_idx] - psi_prev_d + (dt * dt) * (rhs_d / m_d)
-        psi_prev_d = psi[d_idx].copy()
-        psi[d_idx] = psi_d_new
+        psi_d = psi[d_idx]
+        psi[d_idx] = 2.0 * psi_d - psi_prev_d + (dt * dt) * (rhs_d / m_d)
+        psi_prev_d = psi_d
         timings.backward_insertion += time.perf_counter() - t0
         psi_c_pred = psi_c + dt * v_c + (0.5 * dt * dt * (1.0 - 2.0 * beta)) * a_c
         v_pred = v_c + (dt * (1.0 - gamma)) * a_c

@@ -502,25 +502,38 @@ def test_total_mass_is_indicator_weighted_volume(small_grid, small_cache,
 
 def test_spatial_load_on_cache_leaves_is_bitwise_equal(small_grid,
                                                        small_cache):
-    # The cache's leaves and leaf tables give the load of a fresh octree
-    # partition to the bit, also for another q and inside assemble.
+    # A given cache and the one the load builds without it give the same
+    # bits, also inside assemble.
     source = BenchmarkConfig(l_p=0.3).source()
     depth = small_cache.octree_depth
-    for q in (small_cache.q, small_cache.q + 1):
-        fresh = spatial_load(small_grid, source, alpha=1e-3, rho=1.7,
-                             octree_depth=depth, q=q)
-        cached = spatial_load(small_grid, source, alpha=1e-3, rho=1.7,
-                              octree_depth=depth, q=q, cache=small_cache)
-        assert np.abs(fresh).max() > 0.0
-        assert cached.tobytes() == fresh.tobytes()
-    system = assemble(small_grid, StabilizationParams(alpha=1e-3), rho=1.7,
-                      source=source, cache=small_cache)
     fresh = spatial_load(small_grid, source, alpha=1e-3, rho=1.7,
                          octree_depth=depth)
+    cached = spatial_load(small_grid, source, alpha=1e-3, rho=1.7,
+                          octree_depth=depth, cache=small_cache)
+    assert np.abs(fresh).max() > 0.0
+    assert cached.tobytes() == fresh.tobytes()
+    system = assemble(small_grid, StabilizationParams(alpha=1e-3), rho=1.7,
+                      source=source, cache=small_cache)
     assert system.F_s.tobytes() == fresh.tobytes()
     with pytest.raises(ValueError, match="octree depth"):
         spatial_load(small_grid, source, alpha=1e-3, octree_depth=depth + 1,
                      cache=small_cache)
+
+
+def test_spatial_load_q_is_only_p_plus_1(small_grid, small_cache):
+    # The load integrates with the cache's q = p+1 tables: q may restate
+    # that value and nothing else.
+    source = BenchmarkConfig(l_p=0.3).source()
+    p = small_grid.spec.p
+    depth = small_cache.octree_depth
+    plain = spatial_load(small_grid, source, alpha=1e-3, octree_depth=depth,
+                         cache=small_cache)
+    same = spatial_load(small_grid, source, alpha=1e-3, octree_depth=depth,
+                        q=p + 1, cache=small_cache)
+    assert same.tobytes() == plain.tobytes()
+    with pytest.raises(ValueError, match="p\\+1"):
+        spatial_load(small_grid, source, alpha=1e-3, octree_depth=depth,
+                     q=p + 2, cache=small_cache)
 
 
 def reference_leaf_ids(offsets, box, leaves):
@@ -556,7 +569,7 @@ def reference_load(grid, source, alpha, depth, rho):
     """The load element by element: the radial Gaussian at every point,
     and every point classified by ``Grid.point_alpha_mask``, whatever its
     leaf class."""
-    rules = _LeafRules(grid, depth, grid.spec.p + 1)
+    rules = _LeafRules(grid, depth)
     src = source_in_grid_frame(grid, source)
     F = np.zeros(grid.n_dof)
     for ijk, box, ids, _ in near_leaves(grid, source, rules):
@@ -596,7 +609,7 @@ def test_spatial_load_indicator_from_leaf_classes(benchmark_geometry, family,
     # class: every Gauss point of an inside leaf of a near element passes
     # Grid.point_alpha_mask and every one of an outside leaf fails it.
     grid = Grid.build(benchmark_geometry, BasisSpec(family=family, p=p, n_e=4))
-    rules = _LeafRules(grid, depth, p + 1)
+    rules = _LeafRules(grid, depth)
     seen = set()
     for _, box, ids, cls in near_leaves(grid, BenchmarkConfig(l_p=0.3).source(),
                                         rules):
@@ -623,7 +636,7 @@ BF_SOURCE = SourceSpec(x_local=(0.02, -0.01, 0.0), sigma=0.05)
 def test_spatial_load_indicator_boundary_fitted():
     # every point of a boundary-fitted grid is inside
     grid = bf_grid("lagrange", 3, 4)
-    rules = _LeafRules(grid, 2, 4)
+    rules = _LeafRules(grid, 2)
     for _, box, ids, cls in near_leaves(grid, BF_SOURCE, rules):
         assert (cls == ElementClass.INSIDE).all()
         assert grid.point_alpha_mask(rules.coords(*box, ids)).all()
@@ -634,27 +647,23 @@ def test_spatial_load_boundary_fitted_against_reference():
 
 
 @pytest.mark.parametrize("family", ["lagrange", "bspline"])
-def test_spatial_load_without_cut_elements_uses_depth_zero_tables(
-        monkeypatch, family):
-    # With no cut element near the source the load needs only the depth-0
-    # interval, and gives the bits of the full tables of a cache.
+def test_spatial_load_without_cut_elements_uses_depth_zero_tables(family):
+    # The cache of an uncut grid holds only the depth-0 interval and no
+    # leaf, and the load on it gives the bits of full-depth tables.
     grid = bf_grid(family, 3, 4)
     source = BenchmarkConfig(l_p=0.3).source()
     cache = ElementIntegralCache(grid, octree_depth=3)
-    cached = spatial_load(grid, source, alpha=1e-3, rho=1.7, octree_depth=3,
-                          cache=cache)
-    depths = []
-
-    class Recording(_LeafRules):
-        def __init__(self, grid, max_depth, q):
-            depths.append(max_depth)
-            super().__init__(grid, max_depth, q)
-
-    monkeypatch.setattr(assembly, "_LeafRules", Recording)
-    fresh = spatial_load(grid, source, alpha=1e-3, rho=1.7, octree_depth=3)
-    assert depths == [0]
-    assert np.abs(fresh).max() > 0.0
-    assert fresh.tobytes() == cached.tobytes()
+    assert cache.octree_depth == 3
+    assert cache._rules.xi.shape[0] == 1
+    assert cache.M_in.shape[0] == 0
+    assert [a.shape[0] for a in cache._leaves] == [0, 0, 0]
+    load = spatial_load(grid, source, alpha=1e-3, rho=1.7, octree_depth=3,
+                        cache=cache)
+    cache._rules = _LeafRules(grid, 3)
+    full = spatial_load(grid, source, alpha=1e-3, rho=1.7, octree_depth=3,
+                        cache=cache)
+    assert np.abs(load).max() > 0.0
+    assert load.tobytes() == full.tobytes()
 
 
 RANDOM_ROTATION_SOURCE = SourceSpec(x_local=(-0.15, 0.05, 0.0), sigma=0.03)
@@ -892,15 +901,21 @@ def test_ricker_wavelet_values():
 
 
 def test_spatial_load_gaussian_values():
-    # One trilinear element centered on the local origin, integrated with
-    # its center point only: each of the 8 nodes gets rho h^3 / 8 times
-    # the Gaussian at the center.
+    # One trilinear element centered on the local origin against the
+    # 2-point Gauss-Legendre rule per axis (nodes +-1/sqrt(3), weights 1):
+    # node (a, b, c) gets rho (h/2)^3 sum over the points of the Gaussian
+    # times N_a N_b N_c.
     grid = bf_grid("lagrange", 1, 1)
+    xi = np.array([-1.0, 1.0]) / np.sqrt(3.0)
+    N = np.array([(1.0 - xi) / 2.0, (1.0 + xi) / 2.0])    # (node, point)
+    x = np.stack(np.meshgrid(xi, xi, xi, indexing="ij"), axis=-1) * grid.h / 2.0
     for x_src in ((0.0, 0.0, 0.0), (2.0, 0.0, 0.0), (0.0, 2.0, 0.0)):
         source = SourceSpec(x_local=x_src, sigma=2.0)
-        F = spatial_load(grid, source, alpha=1.0, rho=1.7, q=1)
-        want = 1.7 * grid.h**3 / 8.0 * gaussian(source, np.zeros(3))
-        assert F == pytest.approx(np.full(8, want), rel=1e-14)
+        F = spatial_load(grid, source, alpha=1.0, rho=1.7)
+        want = 1.7 * (grid.h / 2.0) ** 3 * np.einsum(
+            "ijk,ai,bj,ck->abc", gaussian(source, x), N, N, N)
+        got = F[grid.element_dofs(np.zeros(3, dtype=int))].reshape(2, 2, 2)
+        assert got == pytest.approx(want, rel=1e-14)
     assert gaussian(source, np.zeros(3)) == pytest.approx(np.exp(-0.5))
 
 

@@ -49,22 +49,12 @@ def inside_box():
     return g, b
 
 
-def test_tensor_rule_single_point():
-    # q = 1 on an uncut element: one point at the center with weight 8, so
-    # the load lands on the center node only (p = 2 has a node there).
-    grid = one_element_grid(*inside_box(), klass=ElementClass.INSIDE)
-    F = spatial_load(grid, FLAT, alpha=1.0, q=1).reshape(3, 3, 3)
-    h3 = grid.h**3
-    assert abs(F[1, 1, 1] - h3) <= 1e-12 * h3
-    F[1, 1, 1] = 0.0
-    assert np.abs(F).max() <= 1e-15 * h3
-
-
-@pytest.mark.parametrize("q", [1, 2, 3, 5])
+@pytest.mark.parametrize("q", [2, 3, 5])
 def test_tensor_rule_weight_sum(q):
-    # the uncut element's tensor rule tiles the reference cube for any q
-    grid = one_element_grid(*inside_box(), klass=ElementClass.INSIDE)
-    F = spatial_load(grid, FLAT, alpha=1.0, q=q)
+    # the uncut element's tensor rule of q = p+1 points per axis tiles the
+    # reference cube at every order
+    grid = one_element_grid(*inside_box(), p=q - 1, klass=ElementClass.INSIDE)
+    F = spatial_load(grid, FLAT, alpha=1.0)
     assert abs(F.sum() / (grid.h / 2.0) ** 3 - 8.0) < 1e-10
 
 
