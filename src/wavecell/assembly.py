@@ -19,7 +19,9 @@ mass and stiffness matrices come from summing element matrices:
   eigenvalue stabilization) is applied afterwards without re-integrating.
   The load vector integrates the source on the octree leaves themselves,
   all leaves of the elements near the source in one batched pass: the
-  isotropic Gaussian splits into three 1D factors per leaf.
+  isotropic Gaussian splits into three 1D factors per leaf.  Both read the
+  leaves, each an integer dyadic cell of its element, and their 1D
+  quadrature tables from one :class:`ElementIntegralCache`.
 
 Degrees of freedom are numbered lexicographically over the tensor function
 grid and compacted to the functions supported on kept elements.  DOFs
@@ -127,17 +129,11 @@ class Grid:
         lo = self.origin + np.asarray(ijk, dtype=float) * self.h
         return lo, lo + self.h
 
-    def point_alpha_mask(self, x_grid):
-        """Whether grid-frame points lie in the physical domain."""
-        if self.boundary_fitted:
-            return np.ones(np.asarray(x_grid).shape[:-1], dtype=bool)
-        return self.geom.contains(x_grid)
-
     @property
     def n_kept(self) -> int:
         return self.kept.shape[0]
 
-    @property
+    @cached_property
     def kept_cut(self) -> np.ndarray:
         """Whether each kept element is cut, shape (n_kept,)."""
         return self.classes[tuple(self.kept.T)] == ElementClass.CUT
@@ -216,72 +212,9 @@ def _signature(spec: BasisSpec, e) -> np.ndarray:
             + np.minimum(spec.n_e - 1 - e, spec.p))
 
 
-class _LeafRules:
-    """Gauss-Legendre tables of q = p+1 points on the dyadic subintervals
-    of [-1, 1], built and partitioned by :class:`ElementIntegralCache` only.
-
-    Every octree leaf of an element is a product of three dyadic intervals
-    of the reference element, so its quadrature points, weights and basis
-    values are table lookups.  The basis values ``V`` and derivatives ``D``
-    are evaluated once per 1D boundary signature, shape (signatures,
-    intervals, q, p+1) each; ``sig[e]`` is the signature of 1D element e,
-    so ``V[sig[ijk], ids]`` are the three directions' values of leaves
-    ``ids`` (..., 3) of elements ``ijk``.  The load and the cut-element
-    integrals map leaves to points through the same :meth:`coords`.
-    """
-
-    def __init__(self, grid: Grid, max_depth: int):
-        self.grid = grid
-        self.max_depth = max_depth
-        g = gl_rule(grid.spec.p + 1)
-        starts, lengths, self.offsets = _dyadic_intervals(max_depth)
-        self.xi = starts[:, None] + (g.nodes[None, :] + 1.0) / 2.0 * lengths[:, None]
-        self.w = g.weights[None, :] * (lengths[:, None] / 2.0)
-        spec = grid.spec
-        _, first, self.sig = np.unique(_signature(spec, np.arange(spec.n_e)),
-                                       return_index=True, return_inverse=True)
-        self.V, self.D = spec.eval_element(first[:, None, None], self.xi)
-
-    def axis_points(self, lo, hi, ids):
-        """Grid-frame Gauss coordinates (N, 3, q) per direction of the
-        leaves with interval ids ``ids`` (N, 3) of elements with corners
-        ``lo``, ``hi``."""
-        return lo[..., None] + (self.xi[ids] + 1.0) / 2.0 * (hi - lo)[..., None]
-
-    def coords(self, lo, hi, ids):
-        """Grid-frame points (N, q, q, q, 3) of those leaves."""
-        x = self.axis_points(lo, hi, ids)
-        return np.stack(np.broadcast_arrays(x[:, 0, :, None, None],
-                                            x[:, 1, None, :, None],
-                                            x[:, 2, None, None, :]), axis=-1)
-
-    def partition(self, lo, hi):
-        """Octree leaves of the element boxes ``lo``, ``hi`` (n, 3), in one
-        batched partition, as three flat arrays in box order: each leaf's
-        box (L,), its flat dyadic interval ids (L, 3) and its class (L,)."""
-        leaves = octree_partition(self.grid.geom, (lo, hi), self.max_depth)
-        o = leaves.owner
-        pos = np.rint((leaves.lo - lo[o]) / (hi[o] - lo[o])
-                      * (2.0 ** leaves.depth[:, None])).astype(int)
-        ids = (self.offsets[leaves.depth][:, None] + pos).astype(np.int32)
-        return o, ids, leaves.cls
-
-    def factors(self, ijk, depth: int):
-        """Outer products w V (x) V and w D (x) D at the Gauss points of the
-        depth-``depth`` cells, (S, 2, 2^depth, q, n, n), one per signature
-        that elements ``ijk`` (C, 3) use (so S = 1, a table
-        :func:`_contract` shares, when they use one), and each element's
-        index into them (C, 3)."""
-        used, index = np.unique(self.sig[ijk], return_inverse=True)
-        ids = self.offsets[depth] + np.arange(2 ** depth)
-        w = self.w[ids][:, :, None, None]
-        return (np.stack([w * A[:, ids, :, :, None] * A[:, ids, :, None, :]
-                          for A in (self.V[used], self.D[used])], axis=1),
-                index.reshape(ijk.shape))
-
-
 class ElementIntegralCache:
-    """Alpha-independent element integrals for one grid.
+    """Alpha-independent element integrals for one grid, and the one holder
+    of its octree leaves and their quadrature tables.
 
     Cut elements store only their inside part, stacked in ``M_in`` and
     ``K_in`` of shape (n_cut, (p+1)^3, (p+1)^3) in ``grid.kept`` order, on
@@ -293,13 +226,24 @@ class ElementIntegralCache:
     stabilization parameters afterwards is cheap, which is what makes
     parameter sweeps affordable.
 
+    Every octree leaf of an element is a product of three dyadic intervals
+    of the reference element, so its q = p+1 Gauss-Legendre points, weights
+    and basis values are table lookups by flat interval id: a depth-d leaf
+    at integer position ``pos`` has ids ``offsets[d] + pos``.  The basis
+    values ``_V`` and derivatives ``_D`` are evaluated once per 1D boundary
+    signature, shape (signatures, intervals, q, p+1) each; ``_sig[e]`` is
+    the signature of 1D element e, so ``_V[_sig[ijk], ids]`` are the three
+    directions' values of leaves ``ids`` (..., 3) of elements ``ijk``.  The
+    load and the cut-element integrals map leaves to points through the
+    same :meth:`_coords`.
+
     Inside leaves mark their maximum-depth cells, leaves still cut at
     maximum depth their inside Gauss points, each on its lattice, which
-    :func:`_contract` sums.  The cache owns the octree leaves and their
-    tables, which :func:`spatial_load` reads too: the leaves as
-    :meth:`_LeafRules.partition` returns them, flat arrays of each leaf's
-    cut element (its position in ``M_in``), interval ids and class.  A
-    grid without a cut element gets only the depth-0 tables and no leaf.
+    :func:`_contract` sums.  :func:`spatial_load` reads the tables and the
+    leaves too: ``_leaves`` holds flat arrays of each leaf's cut element
+    (its position in ``M_in``), interval ids and class, from one batched
+    partition of all cut elements.  A grid without a cut element gets only
+    the depth-0 tables and no leaf.
     """
 
     def __init__(self, grid: Grid, octree_depth: int = DEFAULT_OCTREE_DEPTH):
@@ -312,7 +256,14 @@ class ElementIntegralCache:
         self.M_in = np.zeros((cut.shape[0], q**3, q**3))
         self.K_in = np.zeros((cut.shape[0], q**3, q**3))
         # Whole elements read only the depth-0 interval of the tables.
-        self._rules = rules = _LeafRules(grid, D if cut.size else 0)
+        g = gl_rule(q)
+        starts, lengths, self._offsets = _dyadic_intervals(D if cut.size else 0)
+        self._xi = starts[:, None] + (g.nodes[None, :] + 1.0) / 2.0 * lengths[:, None]
+        self._w = g.weights[None, :] * (lengths[:, None] / 2.0)
+        spec = grid.spec
+        _, first, self._sig = np.unique(_signature(spec, np.arange(spec.n_e)),
+                                        return_index=True, return_inverse=True)
+        self._V, self._D = spec.eval_element(first[:, None, None], self._xi)
         if not cut.size:            # no partition and no lattice pass
             self._leaves = (np.zeros(0, int), np.zeros((0, 3), np.int32),
                             np.zeros(0, np.int8))
@@ -320,10 +271,12 @@ class ElementIntegralCache:
         lo = grid.origin + cut * grid.h
         hi = lo + grid.h
         # The load's leaves too: one batched partition of all cut elements.
-        self._leaves = owner, ids, cls = rules.partition(lo, hi)
-        depth = np.searchsorted(rules.offsets, ids[:, 0], side="right") - 1
-        pos = ids - rules.offsets[depth][:, None]   # index within its depth
-        F, index = rules.factors(cut, D)
+        leaves = octree_partition(grid.geom, (lo, hi), D)
+        owner, depth, pos, cls = (leaves.owner, leaves.depth, leaves.pos,
+                                  leaves.cls)
+        ids = (self._offsets[depth][:, None] + pos).astype(np.int32)
+        self._leaves = owner, ids, cls
+        F, index = self._factors(cut, D)
 
         sel = cls == ElementClass.INSIDE            # on the cell lattice
         for els, e, d, c in _chunks(_lattice_bytes(2**D, q), owner[sel],
@@ -337,11 +290,37 @@ class ElementIntegralCache:
         sel = cls == ElementClass.CUT   # at maximum depth: point by point
         L = 2**D * q
         for els, e, c in _chunks(_lattice_bytes(L, q), owner[sel], pos[sel]):
-            x = rules.coords(lo[els][e], hi[els][e], rules.offsets[D] + c)
+            x = self._coords(lo[els][e], hi[els][e], self._offsets[D] + c)
             inside = np.zeros((els.size, L, L, L), dtype=bool)
-            _paint(inside, e, c * q, q, grid.point_alpha_mask(x))
+            _paint(inside, e, c * q, q, grid.geom.contains(x))
             self._add(els, inside, F.reshape(F.shape[:2] + (L,) + F.shape[4:]),
                       index[els])
+
+    def _axis_points(self, lo, hi, ids):
+        """Grid-frame Gauss coordinates (N, 3, q) per direction of the
+        leaves with interval ids ``ids`` (N, 3) of elements with corners
+        ``lo``, ``hi``."""
+        return lo[..., None] + (self._xi[ids] + 1.0) / 2.0 * (hi - lo)[..., None]
+
+    def _coords(self, lo, hi, ids):
+        """Grid-frame points (N, q, q, q, 3) of those leaves."""
+        x = self._axis_points(lo, hi, ids)
+        return np.stack(np.broadcast_arrays(x[:, 0, :, None, None],
+                                            x[:, 1, None, :, None],
+                                            x[:, 2, None, None, :]), axis=-1)
+
+    def _factors(self, ijk, depth: int):
+        """Outer products w V (x) V and w D (x) D at the Gauss points of the
+        depth-``depth`` cells, (S, 2, 2^depth, q, n, n), one per signature
+        that elements ``ijk`` (C, 3) use (so S = 1, a table
+        :func:`_contract` shares, when they use one), and each element's
+        index into them (C, 3)."""
+        used, index = np.unique(self._sig[ijk], return_inverse=True)
+        ids = self._offsets[depth] + np.arange(2 ** depth)
+        w = self._w[ids][:, :, None, None]
+        return (np.stack([w * A[:, ids, :, :, None] * A[:, ids, :, None, :]
+                          for A in (self._V[used], self._D[used])], axis=1),
+                index.reshape(ijk.shape))
 
     def _add(self, els, inside, F, index):
         M, K = _contract(inside, [F if len(F) == 1 else F[i] for i in index.T])
@@ -353,7 +332,7 @@ class ElementIntegralCache:
         (indicator one), each (..., (p+1)^3, (p+1)^3): the contraction on
         their one depth-0 cell, all elements in one batch."""
         ijk = np.asarray(ijk)
-        F, sig = self._rules.factors(ijk.reshape(-1, 3), 0)
+        F, sig = self._factors(ijk.reshape(-1, 3), 0)
         MK = _contract(np.ones((len(sig), 1, 1, 1), dtype=bool),
                        [F.sum(axis=3)[i] for i in sig.T])
         return tuple(A.reshape(ijk.shape[:-1] + A.shape[1:]) for A in MK)
@@ -460,10 +439,6 @@ class DiscreteSystem:
     F_s: np.ndarray
     grid: Grid
 
-    @property
-    def n_dof(self) -> int:
-        return self.M.shape[0]
-
 
 def assemble(grid: Grid, params: StabilizationParams, rho: float = 1.0,
              c: float = 1.0, source: SourceSpec | None = None,
@@ -494,7 +469,7 @@ def assemble(grid: Grid, params: StabilizationParams, rho: float = 1.0,
     n_uncut = grid.n_kept - cache.M_in.shape[0]
     dofs = grid.element_dofs(ijk)
     # The exact full-element matrices, one pair per boundary signature.
-    _, first, sig = np.unique(cache._rules.sig[ijk], axis=0,
+    _, first, sig = np.unique(cache._sig[ijk], axis=0,
                               return_index=True, return_inverse=True)
     M_full, K_full = cache.full_element(ijk[first])
     sig = sig.reshape(-1)
@@ -771,8 +746,8 @@ def spatial_load(grid: Grid, source: SourceSpec, alpha: float,
     (q, p+1) holds the weights, the 1D Gaussian factor and the basis
     values.  Inside leaves (indicator 1) and outside leaves (alpha) add
     the outer product of the sums of A_d over their points; leaves still
-    cut at maximum depth contract the indicator of
-    :meth:`Grid.point_alpha_mask` at their points with A_0, A_1 and A_2.
+    cut at maximum depth contract the indicator of the physical cube at
+    their points with A_0, A_1 and A_2.
     The tables and the near cut elements' leaves come from ``cache``, a
     cache of this grid and depth, or from one built here.  Its q = p+1
     Gauss points per axis are the only rule; ``q`` may only restate it.
@@ -790,7 +765,6 @@ def spatial_load(grid: Grid, source: SourceSpec, alpha: float,
         cache = ElementIntegralCache(grid, octree_depth)
     elif cache.grid is not grid or cache.octree_depth != octree_depth:
         raise ValueError("the cache belongs to another grid or octree depth")
-    rules = cache._rules
     src_local = np.asarray(source.x_local, dtype=float)
     if grid.boundary_fitted:
         src_grid = src_local
@@ -824,10 +798,10 @@ def spatial_load(grid: Grid, source: SourceSpec, alpha: float,
     for els, e, i, c in _chunks(np.bincount(owner, leaf_bytes), owner,
                                 ids, cls):
         k = els[e]                                  # each leaf's element
-        x = rules.axis_points(lo[k], hi[k], i)      # (N, 3, q)
+        x = cache._axis_points(lo[k], hi[k], i)     # (N, 3, q)
         # Rotation keeps distances, so the factors live in the grid frame.
         g = np.exp(-0.5 * (x - src_grid[:, None]) ** 2 / source.sigma**2)
-        A = (rules.w[i] * g)[..., None] * rules.V[rules.sig[ijk[k]], i]
+        A = (cache._w[i] * g)[..., None] * cache._V[cache._sig[ijk[k]], i]
         F_leaf = np.empty((c.size, n, n, n))
         whole = c != ElementClass.CUT
         s = A[whole].sum(axis=2)                    # (N, 3, n)
@@ -835,8 +809,8 @@ def spatial_load(grid: Grid, source: SourceSpec, alpha: float,
         F_leaf[whole] = (a[:, None, None, None] * s[:, 0, :, None, None]
                          * s[:, 1, None, :, None] * s[:, 2, None, None, :])
         pw = ~whole
-        T = np.where(grid.point_alpha_mask(
-            rules.coords(lo[k[pw]], hi[k[pw]], i[pw])), 1.0, alpha)
+        T = np.where(grid.geom.contains(
+            cache._coords(lo[k[pw]], hi[k[pw]], i[pw])), 1.0, alpha)
         At = A[pw].swapaxes(-1, -2)                 # (N, 3, n, q)
         T = T @ A[pw, 2][:, None]                   # z: (N, q, q, n)
         T = At[:, None, 1] @ T                      # y: (N, q, n, n)

@@ -31,9 +31,6 @@ class Rule1D:
         self.nodes.setflags(write=False)
         self.weights.setflags(write=False)
 
-    def __len__(self):
-        return self.nodes.shape[0]
-
 
 @cache
 def gl_rule(q: int) -> Rule1D:

@@ -17,7 +17,9 @@ pair), and cut otherwise.  The inside part of a cut box is the convex hull
 of the feasible points where three of the 12 face planes of box and cube
 meet.  Cut boxes whose physical volume fraction falls below
 ``MIN_VOLUME_FRACTION`` carry no resolvable physics at the default octree
-depth and are treated as outside by the mesh layer.
+depth and are treated as outside by the mesh layer.  The octree classifies
+its cells by their corners but returns its leaves as integer dyadic cells
+of their box.
 """
 
 from __future__ import annotations
@@ -79,9 +81,10 @@ def cardan_rotation_matrix(angles_deg) -> np.ndarray:
     return _rot_z(psi) @ _rot_y(theta) @ _rot_x(phi)
 
 
-_CORNER_UNIT = np.array(
-    [[i, j, k] for i in (0, 1) for j in (0, 1) for k in (0, 1)], dtype=float
+_OCTANTS = np.array(
+    [[i, j, k] for i in (0, 1) for j in (0, 1) for k in (0, 1)], dtype=np.int32
 )
+_CORNER_UNIT = _OCTANTS.astype(float)
 
 
 def _split_octants(lo, hi):
@@ -232,15 +235,17 @@ _PLANE_TRIPLES = np.array(list(combinations(range(12), 3)))
 class OctreeLeaves:
     """Flat leaf arrays of the octree partitions of a batch of boxes, grouped
     by ``owner`` (the box index) and in deterministic order within a box.
-    A leaf of depth d spans 2^-d of its owner box along each axis."""
+    A leaf of depth d spans 2^-d of its owner box along each axis, and
+    ``pos`` counts those spans from the box's lower corner: the leaf is the
+    integer cell ``pos`` of its depth's 2^d x 2^d x 2^d lattice."""
 
-    lo: np.ndarray      # (n, 3) lower corners
+    pos: np.ndarray     # (n, 3) int32 dyadic position within the owner box
     cls: np.ndarray     # (n,) ElementClass values
     depth: np.ndarray   # (n,)
     owner: np.ndarray   # (n,) index of the partitioned box
 
     def __len__(self):
-        return self.lo.shape[0]
+        return self.cls.shape[0]
 
 
 def octree_partition(geom: ImmersedGeometry, boxes,
@@ -254,7 +259,10 @@ def octree_partition(geom: ImmersedGeometry, boxes,
     leaves are kept as such (their quadrature points are classified
     individually by the caller).  ``max_depth = 0`` returns the boxes
     themselves.  Each box's leaves are listed by depth, children in octant
-    order, and the boxes' groups follow each other in input order.
+    order, and the boxes' groups follow each other in input order.  A
+    child's position is twice its parent's plus its octant, so the leaves
+    come out as integer cells; the float corners only feed the
+    classification.
     """
     if max_depth < 0:
         raise ValueError("max_depth must be >= 0")
@@ -262,18 +270,20 @@ def octree_partition(geom: ImmersedGeometry, boxes,
     lo = np.asarray(lo, dtype=float).reshape(-1, 3)
     hi = np.asarray(hi, dtype=float).reshape(-1, 3)
     owner = np.arange(lo.shape[0])
+    pos = np.zeros((lo.shape[0], 3), dtype=np.int32)
     out = []
     for depth in range(max_depth + 1):
         cls = geom.classify_boxes(lo, hi)
         cut = cls == ElementClass.CUT
         settled = ~cut if depth < max_depth else np.ones(len(cls), dtype=bool)
-        out.append((lo[settled], cls[settled],
+        out.append((pos[settled], cls[settled],
                     np.full(int(settled.sum()), depth), owner[settled]))
         if depth == max_depth or not np.any(cut):
             break
         lo, hi = _split_octants(lo[cut], hi[cut])
+        pos = (2 * pos[cut, None, :] + _OCTANTS).reshape(-1, 3)
         owner = np.repeat(owner[cut], 8)
-    lo, cls, depth, owner = (np.concatenate(a) for a in zip(*out))
+    pos, cls, depth, owner = (np.concatenate(a) for a in zip(*out))
     order = np.argsort(owner, kind="stable")
-    return OctreeLeaves(lo=lo[order], cls=cls[order], depth=depth[order],
+    return OctreeLeaves(pos=pos[order], cls=cls[order], depth=depth[order],
                         owner=owner[order])

@@ -23,7 +23,7 @@ def test_gll_p2_closed_form():
 @pytest.mark.parametrize("p", range(1, 11))
 def test_gll_rule_basics(p):
     r = gll_rule(p)
-    assert len(r) == p + 1
+    assert r.nodes.shape[0] == p + 1
     assert r.nodes[0] == -1.0 and r.nodes[-1] == 1.0
     assert (np.diff(r.nodes) > 0.0).all()
     assert abs(r.weights.sum() - 2.0) < 1e-12

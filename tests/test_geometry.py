@@ -133,7 +133,7 @@ def test_octree_inside_box_single_leaf(benchmark_geometry):
     leaves = octree_partition(g, (lo, hi), max_depth=3)
     assert len(leaves) == 1
     assert ElementClass(int(leaves.cls[0])) == ElementClass.INSIDE
-    assert np.allclose(leaves.lo[0], lo) and leaves.depth[0] == 0
+    assert (leaves.pos[0] == 0).all() and leaves.depth[0] == 0
 
 
 def test_octree_cut_box_depths(benchmark_geometry):
@@ -155,9 +155,9 @@ def test_octree_leaves_tile_parent(benchmark_geometry, depth):
     # lattice; every cell is covered exactly once
     n = 2 ** depth
     count = np.zeros((n, n, n), dtype=int)
-    for lo, d in zip(leaves.lo, leaves.depth):
-        i, j, k = np.rint((lo - b[0]) * n / 0.04).astype(int)
+    for pos, d in zip(leaves.pos, leaves.depth):
         s = n >> d
+        i, j, k = pos * s
         count[i:i + s, j:j + s, k:k + s] += 1
     assert (count == 1).all()
 
@@ -229,21 +229,24 @@ class OctreeView:
     """The leaves of one owner of a batched partition."""
 
     def __init__(self, leaves, mask):
-        self.lo, self.cls, self.depth, self.owner = (
-            getattr(leaves, f)[mask] for f in ("lo", "cls", "depth", "owner"))
+        self.pos, self.cls, self.depth, self.owner = (
+            getattr(leaves, f)[mask] for f in ("pos", "cls", "depth", "owner"))
 
 
-def leaf_hi(leaves, lo, hi):
-    """Upper leaf corners: a depth-d leaf spans 2^-d of its owner box."""
-    size = (np.reshape(hi, (-1, 3)) - np.reshape(lo, (-1, 3)))[leaves.owner]
-    return leaves.lo + size / 2.0 ** leaves.depth[:, None]
+def leaf_corners(leaves, lo, hi):
+    """Lower and upper leaf corners: a depth-d leaf spans 2^-d of its
+    owner box."""
+    lo, hi = (np.reshape(a, (-1, 3))[leaves.owner] for a in (lo, hi))
+    span = (hi - lo) / 2.0 ** leaves.depth[:, None]
+    return lo + leaves.pos * span, lo + (leaves.pos + 1) * span
 
 
 # Degenerate angles first: at 0 degrees the cube faces lie on grid planes
-# of the n_e = 5 grid, at 45 degrees edges run along grid diagonals.
+# of the n_e = 5 grid, at 45 degrees edges run along grid diagonals.  Then
+# seeded draws and the benchmark rotation.
 PARTITION_ANGLES = [(0.0, 0.0, 0.0), (45.0, 0.0, 0.0), (0.0, 45.0, 45.0)] + [
     tuple(np.random.default_rng(seed).uniform(-180.0, 180.0, 3))
-    for seed in (0, 1)]
+    for seed in (0, 1, 2)] + [(10.0, 10.0, 10.0)]
 
 
 @pytest.mark.parametrize("angles", PARTITION_ANGLES)
@@ -257,13 +260,18 @@ def test_batched_partition_equals_per_box_loop(angles):
             single = octree_partition(g, (l, u), depth)
             mine = batched.owner == b
             assert mine.sum() == len(ref) == len(single)
+            # the integer cells are the float recursion's corners, rounded
+            ref_lo, ref_hi = (np.array([r[i] for r in ref]) for i in (0, 1))
+            d = np.array([r[3] for r in ref])[:, None]
+            ref_pos = np.rint((ref_lo - l) / (u - l) * 2.0 ** d)
             for leaves, box in ((single, (l, u)),
                                 (OctreeView(batched, mine), (lo, hi))):
-                assert np.array_equal(leaves.lo, np.array([r[0] for r in ref]))
+                assert leaves.pos.dtype == np.int32
+                assert np.array_equal(leaves.pos, ref_pos)
                 # midpoint splits round; 2^-d of the box does not
-                assert np.allclose(leaf_hi(leaves, *box),
-                                   np.array([r[1] for r in ref]),
-                                   rtol=1e-15, atol=0.0)
+                for got, want in zip(leaf_corners(leaves, *box),
+                                     (ref_lo, ref_hi)):
+                    assert np.allclose(got, want, rtol=1e-15, atol=0.0)
                 assert np.array_equal(leaves.cls, [r[2] for r in ref])
                 assert np.array_equal(leaves.depth, [r[3] for r in ref])
         # grouped by owner, in input order
@@ -279,14 +287,14 @@ def test_classification_chunks_change_no_class(monkeypatch):
     monkeypatch.setattr(geometry, "_CLASSIFY_CHUNK", 7)
     assert np.array_equal(g.classify_boxes(lo, hi), whole)
     chunked = octree_partition(g, (lo, hi), 3)
-    for f in ("lo", "cls", "depth", "owner"):
+    for f in ("pos", "cls", "depth", "owner"):
         assert np.array_equal(getattr(chunked, f), getattr(leaves, f))
 
 
 def test_partition_of_no_boxes_is_empty():
     g = ImmersedGeometry.from_angles(0.3, 0.5, (10.0, 10.0, 10.0))
     leaves = octree_partition(g, (np.zeros((0, 3)), np.zeros((0, 3))), 2)
-    assert len(leaves) == 0 and leaves.lo.shape == (0, 3)
+    assert len(leaves) == 0 and leaves.pos.shape == (0, 3)
 
 
 def max_abs_contains(g, x):
