@@ -125,7 +125,8 @@ class Grid:
                    origin=origin, h=float(h), classes=classes, kept=kept)
 
     def element_box(self, ijk):
-        """Lower and upper corners ``(lo, hi)`` of element ``ijk``."""
+        """Lower and upper corners ``(lo, hi)`` of elements ``ijk`` (..., 3),
+        each of shape (..., 3)."""
         lo = self.origin + np.asarray(ijk, dtype=float) * self.h
         return lo, lo + self.h
 
@@ -268,8 +269,7 @@ class ElementIntegralCache:
             self._leaves = (np.zeros(0, int), np.zeros((0, 3), np.int32),
                             np.zeros(0, np.int8))
             return
-        lo = grid.origin + cut * grid.h
-        hi = lo + grid.h
+        lo, hi = grid.element_box(cut)
         # The load's leaves too: one batched partition of all cut elements.
         leaves = octree_partition(grid.geom, (lo, hi), D)
         owner, depth, pos, cls = (leaves.owner, leaves.depth, leaves.pos,
@@ -437,7 +437,6 @@ class DiscreteSystem:
     M: sp.csr_matrix
     K: sp.csr_matrix
     F_s: np.ndarray
-    grid: Grid
 
 
 def assemble(grid: Grid, params: StabilizationParams, rho: float = 1.0,
@@ -504,7 +503,7 @@ def assemble(grid: Grid, params: StabilizationParams, rho: float = 1.0,
                            octree_depth=cache.octree_depth, cache=cache)
     else:
         F_s = np.zeros(n_dof)
-    return DiscreteSystem(M=M, K=K, F_s=F_s, grid=grid)
+    return DiscreteSystem(M=M, K=K, F_s=F_s)
 
 
 def _blend(full, sig, inside, n_uncut, alpha, scale):
@@ -600,7 +599,6 @@ class TensorSystem:
             raise ValueError("tensor-product operators need the Lagrange family")
         if np.any(grid.classes != ElementClass.INSIDE):
             raise ValueError("tensor-product operators need a fully uncut grid")
-        self.grid = grid
         self.rho = float(rho)
         self.c = float(c)
         spec = grid.spec
@@ -770,8 +768,7 @@ def spatial_load(grid: Grid, source: SourceSpec, alpha: float,
         src_grid = src_local
     else:
         src_grid = grid.geom.to_global(src_local)
-    lo = grid.origin + grid.kept * grid.h
-    hi = lo + grid.h
+    lo, hi = grid.element_box(grid.kept)
     dist = np.linalg.norm(np.clip(src_grid, lo, hi) - src_grid, axis=1)
     near = np.flatnonzero(dist <= 14.0 * source.sigma)
     ijk, lo, hi = grid.kept[near], lo[near], hi[near]

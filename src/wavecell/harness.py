@@ -81,19 +81,18 @@ def observer_matrix(grid: Grid) -> sp.csr_matrix:
     pts = build_observers(geom.l_p)
     if not grid.boundary_fitted:
         pts = geom.to_global(pts)
-    n_e, h, origin = grid.spec.n_e, grid.h, grid.origin
-    idx = np.clip(np.floor((pts - origin) / h).astype(int), 0, n_e - 1)
-    kept_lo = origin + grid.kept * h
+    n_e, h = grid.spec.n_e, grid.h
+    idx = np.clip(np.floor((pts - grid.origin) / h).astype(int), 0, n_e - 1)
+    kept_lo, kept_hi = grid.element_box(grid.kept)
     for i in np.flatnonzero(grid.classes[tuple(idx.T)] == ElementClass.OUTSIDE):
-        d = np.linalg.norm(np.clip(pts[i], kept_lo, kept_lo + h) - pts[i],
-                           axis=1)
+        d = np.linalg.norm(np.clip(pts[i], kept_lo, kept_hi) - pts[i], axis=1)
         j = int(np.argmin(d))
         if d[j] > 0.05 * h:
             raise ValueError(
                 f"observer {OBSERVER_LABELS[i]} is {d[j]:.3e} away from "
                 "the nearest kept element")
         idx[i] = grid.kept[j]
-    xi = np.clip(2.0 * (pts - (origin + idx * h)) / h - 1.0, -1.0, 1.0)
+    xi = np.clip(2.0 * (pts - grid.element_box(idx)[0]) / h - 1.0, -1.0, 1.0)
     V, _ = grid.spec.eval_element(idx, xi)             # (n_obs, 3, p+1)
     w = (V[:, 0, :, None, None] * V[:, 1, None, :, None]
          * V[:, 2, None, None, :]).reshape(pts.shape[0], -1)

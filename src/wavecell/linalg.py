@@ -31,17 +31,16 @@ class Factorization:
     """
 
     def __init__(self, diag, coupled, lu):
-        self.n = diag.shape[0]
         self.diag = diag
         self.coupled = coupled
         self._lu = lu
 
     def solve(self, b, out=None):
-        """A^-1 b, written into ``out`` when given (``out`` may be ``b``)."""
+        """A^-1 b for one vector b, written into ``out`` when given (``out``
+        may be ``b``)."""
         b = np.asarray(b, dtype=float)
         b_c = b[self.coupled]         # a copy, read before out is written
-        x = np.divide(b, self.diag if b.ndim == 1 else self.diag[:, None],
-                      out=out)
+        x = np.divide(b, self.diag, out=out)
         if self.coupled.size:
             x[self.coupled] = self._lu.solve(b_c)
         return x

@@ -72,8 +72,6 @@ class StageTimings:
 
 @dataclass
 class RunResult:
-    method: str
-    dt: float
     t: np.ndarray                 # (n_t + 1,) step times
     obs: np.ndarray | None        # (n_obs, n_t + 1) observer samples
     psi: np.ndarray               # final displacement
@@ -164,9 +162,7 @@ def newmark_run(M, K, F_s, f_t, dt: float, n_t: int, obs_mat=None,
         timings.backward_insertion += time.perf_counter() - t0
         rec.record(k + 1, psi)
         _check(psi, k + 1)
-    return RunResult(method="newmark", dt=dt, t=rec.t, obs=rec.obs,
-                     psi=psi, timings=timings,
-                     fact_dim=n)
+    return RunResult(t=rec.t, obs=rec.obs, psi=psi, timings=timings, fact_dim=n)
 
 
 def cdm_run(M, K, F_s, f_t, dt: float, n_t: int, obs_mat=None) -> RunResult:
@@ -217,8 +213,7 @@ def cdm_run(M, K, F_s, f_t, dt: float, n_t: int, obs_mat=None) -> RunResult:
         timings.backward_insertion += time.perf_counter() - t0
         rec.record(k + 1, psi)
         _check(psi, k + 1)
-    return RunResult(method="cdm", dt=dt, t=rec.t, obs=rec.obs,
-                     psi=psi, timings=timings,
+    return RunResult(t=rec.t, obs=rec.obs, psi=psi, timings=timings,
                      fact_dim=fact_dim)
 
 
@@ -296,6 +291,5 @@ def imex_run(M, K, F_s, f_t, dt: float, n_t: int, c_idx, d_idx,
         timings.backward_insertion += time.perf_counter() - t0
         rec.record(k + 1, psi)
         _check(psi, k + 1)
-    return RunResult(method="imex", dt=dt, t=rec.t, obs=rec.obs,
-                     psi=psi, timings=timings,
+    return RunResult(t=rec.t, obs=rec.obs, psi=psi, timings=timings,
                      fact_dim=c_idx.shape[0])

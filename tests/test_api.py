@@ -1,11 +1,19 @@
 """Every public name is used by the package itself, not only by tests."""
 
 import ast
+import dataclasses
+import importlib
+import os
+import sys
+from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import wavecell
+from wavecell.cli import main
+from wavecell.harness import BenchmarkConfig, run_benchmark
 
 SRC = Path(wavecell.__file__).resolve().parent
 MODULES = {path.stem: ast.parse(path.read_text())
@@ -122,3 +130,130 @@ def test_unread_field_is_caught():
     assert members == ["Probe.kept", "Probe.never_read_anywhere",
                        "Probe.by_name", "Probe.used"]
     assert unread(members, READERS + [tree]) == ["Probe.never_read_anywhere"]
+
+
+# -- runtime read check --------------------------------------------------------
+
+TESTS = str(Path(__file__).resolve().parent) + os.sep
+
+# Public attributes that only tests read, each with the reason it stays.
+UNREAD_ALLOWED = {
+    "TensorSystem.k1": "the 1D stiffness of the nine-contraction reference "
+                       "of k_matvec in tests/test_assembly.py",
+}
+
+
+def wavecell_classes():
+    """Every class defined in a module of the package."""
+    modules = [importlib.import_module(f"wavecell.{name}") for name in MODULES]
+    return [obj for module in modules for obj in vars(module).values()
+            if isinstance(obj, type) and obj.__module__ == module.__name__]
+
+
+@contextmanager
+def reads_recorded(classes, outside=TESTS):
+    """Wrap ``__getattribute__`` of ``classes`` for the block and yield
+    ``(held, read)``: per class, the fields and instance attributes its
+    instances held, and the attribute names read on them by code whose
+    file is not under ``outside``.  Every class gets back the
+    ``__getattribute__`` of its own that it had, or none."""
+    held = {cls: {f.name for f in dataclasses.fields(cls)}
+            if dataclasses.is_dataclass(cls) else set() for cls in classes}
+    read = {cls: set() for cls in classes}
+    own = {cls: cls.__dict__.get("__getattribute__") for cls in classes}
+    # Resolved before any class is wrapped, so no wrapper calls another.
+    inherited = {cls: cls.__getattribute__ for cls in classes}
+
+    def wrapper(cls):
+        get, keys, names = inherited[cls], held[cls], read[cls]
+
+        def __getattribute__(self, name):
+            keys.update(get(self, "__dict__"))
+            if not sys._getframe(1).f_code.co_filename.startswith(outside):
+                names.add(name)
+            return get(self, name)
+        return __getattribute__
+
+    wrapped = []
+    try:
+        for cls in classes:
+            cls.__getattribute__ = wrapper(cls)
+            wrapped.append(cls)
+        yield held, read
+    finally:
+        for cls in wrapped:
+            if own[cls] is None:
+                del cls.__getattribute__
+            else:
+                cls.__getattribute__ = own[cls]
+
+
+def unread_attributes(classes, held, read):
+    return sorted(f"{cls.__name__}.{name}" for cls in classes
+                  for name in held[cls] - read[cls]
+                  if not name.startswith("_"))
+
+
+def read_sweep(tmp_path, wavebench):
+    """One fixed tiny pass over every method, basis family, mass choice,
+    CLI subcommand and the benchmark's traced run."""
+    immersed = BenchmarkConfig(p=2, n_e=4, octree_depth=2)
+    fitted = BenchmarkConfig(p=2, n_e=3, boundary_fitted=True, n_t=50)
+    for cfg in (immersed,
+                replace(immersed, method="imex", alpha=1e-12, epsilon=1e-4),
+                replace(immersed, method="newmark", n_t=20),
+                replace(immersed, lumping="hrz", alpha=1e-4),
+                replace(immersed, family="bspline"),
+                fitted,
+                replace(fitted, method="newmark", n_t=20)):
+        run_benchmark(cfg)
+    config = tmp_path / "config.json"
+    config.write_text(BenchmarkConfig(p=2, n_e=3, octree_depth=2,
+                                      T=0.05).to_json())
+    for command, *extra in (
+            ("run",), ("dtcrit",), ("dofs",), ("export-matrices",),
+            ("reference", "--ref-p", "2", "--ref-n-e", "3", "--ref-dt",
+             "0.005"),
+            ("converge", "--n-e-values", "3", "--n-s", "10"),
+            ("timing", "--repetitions", "2")):
+        assert main([command, "--config", str(config),
+                     "--out", str(tmp_path / command), *extra]) == 0
+    for cfg in (immersed, fitted):
+        prep, _, _ = wavebench.traced_run(cfg, wavebench.Tracer())
+        wavebench.octree_probe(prep.grid, cfg.octree_depth)
+
+
+def test_every_public_attribute_is_read(tmp_path, monkeypatch):
+    # Dataclass fields and instance attributes must be read by the package
+    # or the benchmark scripts on a real run, not only by tests: the
+    # receiver's class is resolved, unlike the name match above.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    wavebench = importlib.import_module("wavebench")
+    classes = wavecell_classes()
+    before = {cls: cls.__dict__.get("__getattribute__") for cls in classes}
+    with reads_recorded(classes) as (held, read):
+        read_sweep(tmp_path, wavebench)
+    assert {cls: cls.__dict__.get("__getattribute__")
+            for cls in classes} == before
+    assert unread_attributes(classes, held, read) == sorted(UNREAD_ALLOWED)
+
+
+def test_attribute_read_only_by_tests_is_caught():
+    @dataclasses.dataclass
+    class Probe:
+        kept: int
+        tested: int
+
+        def __post_init__(self):
+            self.extra = 0
+
+    outside = {}
+    exec(compile("def use(probe):\n    return probe.kept\n", "<outside>",
+                 "exec"), outside)
+    with reads_recorded([Probe]) as (held, read):
+        probe = Probe(1, 2)
+        outside["use"](probe)
+        assert probe.tested == 2 and probe.extra == 0
+    assert "__getattribute__" not in Probe.__dict__
+    assert unread_attributes([Probe], held, read) == ["Probe.extra",
+                                                      "Probe.tested"]

@@ -476,6 +476,35 @@ def test_tensor_cdm_matches_sparse_operators():
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_aligned_immersed_cube_reproduces_fitted_path(p):
+    # At zero angles the cube [0.1, 0.4]^3 fills elements 2-7 of the
+    # n_e = 10 grid of [0, 0.5]^3: the 216 elements of the fitted n_e = 6
+    # grid, with the same lexicographic DOF numbering.  The 91 elements
+    # that touch the surface from inside are classified cut, so the mass
+    # is compared only on the d rows, away from them.  Largest differences
+    # relative to the maximum at depth 2 (p = 2, p = 3): K x 4.6e-16,
+    # 6.1e-16; F_s 1.8e-15, 3.0e-15; observer matrix 2.0e-15, 3.7e-15; M
+    # diagonal 7.3e-16, 5.6e-16.
+    imm = prepare(BenchmarkConfig(p=p, n_e=10, angles_deg=(0.0, 0.0, 0.0),
+                                  octree_depth=2, n_t=1))
+    fit = prepare(BenchmarkConfig(p=p, n_e=6, boundary_fitted=True, n_t=1))
+    assert imm.tensor is None and fit.tensor is not None
+    assert imm.grid.n_kept == fit.grid.n_kept == 216
+    assert np.count_nonzero(imm.grid.kept_cut) == 91
+    d = imm.grid.dofmap.d_idx
+    assert d.size == (5 * p) ** 3
+    x = np.random.default_rng(0).standard_normal(fit.grid.n_dof)
+
+    def rel(got, want):
+        return np.abs(got - want).max() / np.abs(want).max()
+
+    assert rel(imm.K @ x, fit.K @ x) <= 2e-15
+    assert rel(imm.F_s, fit.F_s) <= 1e-14
+    assert rel(imm.obs_mat.toarray(), fit.obs_mat.toarray()) <= 1e-14
+    assert rel(imm.M.diagonal()[d], fit.M.diagonal()[d]) <= 2e-15
+
+
 def test_reference_self_consistency():
     # two overkill boundary-fitted references agree closely at the
     # observers, which pins the reference machinery itself
