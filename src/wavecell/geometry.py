@@ -17,9 +17,9 @@ pair), and cut otherwise.  The inside part of a cut box is the convex hull
 of the feasible points where three of the 12 face planes of box and cube
 meet.  Cut boxes whose physical volume fraction falls below
 ``MIN_VOLUME_FRACTION`` carry no resolvable physics at the default octree
-depth and are treated as outside by the mesh layer.  The octree keeps its
-cells as integer dyadic cells of their box, and classifies each level by
-the corners it computes from them.
+depth and are treated as outside by the mesh layer.  The octree classifies
+its cells by their corners but returns its leaves as integer dyadic cells
+of their box.
 """
 
 from __future__ import annotations
@@ -85,6 +85,14 @@ _OCTANTS = np.array(
     [[i, j, k] for i in (0, 1) for j in (0, 1) for k in (0, 1)], dtype=np.int32
 )
 _CORNER_UNIT = _OCTANTS.astype(float)
+
+
+def _split_octants(lo, hi):
+    """Split boxes (n, 3) into their octants, returned as (8n, 3) pairs."""
+    mid = 0.5 * (lo + hi)
+    lo8 = np.where(_CORNER_UNIT[None, :, :] == 0, lo[:, None, :], mid[:, None, :])
+    hi8 = np.where(_CORNER_UNIT[None, :, :] == 0, mid[:, None, :], hi[:, None, :])
+    return lo8.reshape(-1, 3), hi8.reshape(-1, 3)
 
 
 @dataclass(frozen=True)
@@ -253,26 +261,26 @@ def octree_partition(geom: ImmersedGeometry, boxes,
     themselves.  Each box's leaves are listed by depth, children in octant
     order, and the boxes' groups follow each other in input order.  A
     child's position is twice its parent's plus its octant, so the leaves
-    come out as integer cells.  The corners a level classifies come from
-    those positions alone: the cell ``pos`` of depth d in box (lo, hi) has
-    side s = (hi - lo) / 2^d and spans [lo + pos s, lo + pos s + s].
+    come out as integer cells; the float corners only feed the
+    classification.
     """
     if max_depth < 0:
         raise ValueError("max_depth must be >= 0")
-    lo0, hi0 = (np.asarray(a, dtype=float).reshape(-1, 3) for a in boxes)
-    owner = np.arange(lo0.shape[0])
-    pos = np.zeros((lo0.shape[0], 3), dtype=np.int32)
+    lo, hi = boxes
+    lo = np.asarray(lo, dtype=float).reshape(-1, 3)
+    hi = np.asarray(hi, dtype=float).reshape(-1, 3)
+    owner = np.arange(lo.shape[0])
+    pos = np.zeros((lo.shape[0], 3), dtype=np.int32)
     out = []
     for depth in range(max_depth + 1):
-        s = (hi0 - lo0)[owner] / 2**depth
-        lo = lo0[owner] + pos * s
-        cls = geom.classify_boxes(lo, lo + s)
+        cls = geom.classify_boxes(lo, hi)
         cut = cls == ElementClass.CUT
         settled = ~cut if depth < max_depth else np.ones(len(cls), dtype=bool)
         out.append((pos[settled], cls[settled],
                     np.full(int(settled.sum()), depth), owner[settled]))
         if depth == max_depth or not np.any(cut):
             break
+        lo, hi = _split_octants(lo[cut], hi[cut])
         pos = (2 * pos[cut, None, :] + _OCTANTS).reshape(-1, 3)
         owner = np.repeat(owner[cut], 8)
     pos, cls, depth, owner = (np.concatenate(a) for a in zip(*out))

@@ -134,7 +134,24 @@ def test_unread_field_is_caught():
 
 # -- runtime read check --------------------------------------------------------
 
-TESTS = str(Path(__file__).resolve().parent) + os.sep
+# A read counts when the nearest caller in the project is the package or
+# the benchmark scripts, not a test.  Reads by the standard library and by
+# code that dataclasses generate (replace, asdict, __eq__, __repr__ read
+# every field) belong to whoever called them.
+READER_DIRS = tuple(str(path) + os.sep for path in (SRC, PERFBENCH))
+PROJECT = READER_DIRS + (str(Path(__file__).resolve().parent) + os.sep,)
+
+
+def read_by_package(frame):
+    """Whether the nearest frame from ``frame`` outward whose file lies in
+    the project is in the package or the benchmark scripts."""
+    while frame is not None:
+        file = frame.f_code.co_filename
+        if file.startswith(PROJECT):
+            return file.startswith(READER_DIRS)
+        frame = frame.f_back
+    return False
+
 
 # Public attributes that only tests read, each with the reason it stays.
 UNREAD_ALLOWED = {
@@ -151,11 +168,11 @@ def wavecell_classes():
 
 
 @contextmanager
-def reads_recorded(classes, outside=TESTS):
+def reads_recorded(classes):
     """Wrap ``__getattribute__`` of ``classes`` for the block and yield
     ``(held, read)``: per class, the fields and instance attributes its
-    instances held, and the attribute names read on them by code whose
-    file is not under ``outside``.  Every class gets back the
+    instances held, and the attribute names read on them for the package
+    (``read_by_package``).  Every class gets back the
     ``__getattribute__`` of its own that it had, or none."""
     held = {cls: {f.name for f in dataclasses.fields(cls)}
             if dataclasses.is_dataclass(cls) else set() for cls in classes}
@@ -169,7 +186,7 @@ def reads_recorded(classes, outside=TESTS):
 
         def __getattribute__(self, name):
             keys.update(get(self, "__dict__"))
-            if not sys._getframe(1).f_code.co_filename.startswith(outside):
+            if read_by_package(sys._getframe(1)):
                 names.add(name)
             return get(self, name)
         return __getattribute__
@@ -247,13 +264,22 @@ def test_attribute_read_only_by_tests_is_caught():
         def __post_init__(self):
             self.extra = 0
 
-    outside = {}
-    exec(compile("def use(probe):\n    return probe.kept\n", "<outside>",
-                 "exec"), outside)
-    with reads_recorded([Probe]) as (held, read):
+    @dataclasses.dataclass
+    class Record:
+        saved: int
+
+    package = {}
+    exec(compile("import dataclasses\n"
+                 "def use(probe, record):\n"
+                 "    return probe.kept, dataclasses.asdict(record)\n",
+                 str(SRC / "probe.py"), "exec"), package)
+    with reads_recorded([Probe, Record]) as (held, read):
         probe = Probe(1, 2)
-        outside["use"](probe)
+        package["use"](probe, Record(3))
+        # a test that copies, compares or prints a probe reads every field
+        copy = dataclasses.replace(probe, kept=3)
+        assert copy != probe and repr(copy)
         assert probe.tested == 2 and probe.extra == 0
-    assert "__getattribute__" not in Probe.__dict__
-    assert unread_attributes([Probe], held, read) == ["Probe.extra",
-                                                      "Probe.tested"]
+    assert "__getattribute__" not in Probe.__dict__ | Record.__dict__
+    assert unread_attributes([Probe, Record], held, read) == [
+        "Probe.extra", "Probe.tested"]

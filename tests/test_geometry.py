@@ -190,9 +190,8 @@ def test_volume_fractions_sum_to_cube_volume(angles, n_e):
     total = (0.5 / n_e) ** 3 * (np.sum(cls == ElementClass.INSIDE) + frac.sum())
     assert abs(total - g.l_p ** 3) <= 1e-14 * g.l_p ** 3
     if n_e == 6:
-        half = 0.5 / n_e / 2.0
-        lo8 = (lo[cut, None] + geometry._OCTANTS * half).reshape(-1, 3)
-        octants = np.array([g.volume_fraction(l, l + half) for l in lo8])
+        lo8, hi8 = geometry._split_octants(lo[cut], hi[cut])
+        octants = np.array([g.volume_fraction(l, u) for l, u in zip(lo8, hi8)])
         assert np.abs(octants.reshape(-1, 8).mean(axis=1) - frac).max() <= 1e-14
 
 
@@ -250,27 +249,6 @@ PARTITION_ANGLES = [(0.0, 0.0, 0.0), (45.0, 0.0, 0.0), (0.0, 45.0, 45.0)] + [
     for seed in (0, 1, 2)] + [(10.0, 10.0, 10.0)]
 
 
-def classified(pos, depth, cls, max_depth):
-    """Per depth k, the class of every cell of the 2^k lattice of one box
-    that a partition classifies: its leaves, and the cut cells they were
-    split from (-1 where it classifies none)."""
-    out = []
-    for k in range(max_depth + 1):
-        a = np.full((2 ** k,) * 3, -1, dtype=np.int8)
-        below = depth >= k
-        a[tuple((pos[below] >> (depth[below, None] - k)).T)] = np.where(
-            depth[below] == k, cls[below], ElementClass.CUT)
-        out.append(a)
-    return out
-
-
-def touches(g, lo, hi, eps=1e-14):
-    """Whether boxes lie within rounding of the cube's surface: grown by
-    eps they are cut, shrunk by eps they are not."""
-    return ((g.classify_boxes(lo - eps, hi + eps) == ElementClass.CUT)
-            & (g.classify_boxes(lo + eps, hi - eps) != ElementClass.CUT))
-
-
 @pytest.mark.parametrize("angles", PARTITION_ANGLES)
 def test_batched_partition_equals_per_box_loop(angles):
     g = ImmersedGeometry.from_angles(0.3, 0.5, angles)
@@ -278,34 +256,24 @@ def test_batched_partition_equals_per_box_loop(angles):
     for depth in range(5):
         batched = octree_partition(g, (lo, hi), depth)
         for b, (l, u) in enumerate(zip(lo, hi)):
-            single = octree_partition(g, (l, u), depth)
-            mine = OctreeView(batched, batched.owner == b)
-            assert single.pos.dtype == mine.pos.dtype == np.int32
-            for f in ("pos", "cls", "depth"):
-                assert np.array_equal(getattr(mine, f), getattr(single, f))
-            # The float recursion splits at rounded midpoints, the partition
-            # takes 2^-d of the box: only a cell within rounding of the
-            # surface may classify differently (at (0, 45, 45) some do).
             ref = reference_partition(g, (l, u), depth)
-            ref_lo, ref_hi = (np.array([r[i] for r in ref]) for i in (0, 1))
-            d = np.array([r[3] for r in ref])
-            ref_pos = np.rint((ref_lo - l) / (u - l) * 2.0 ** d[:, None])
-            differ = False
-            for k, (got, want) in enumerate(zip(
-                    classified(single.pos, single.depth, single.cls, depth),
-                    classified(ref_pos.astype(int), d,
-                               np.array([r[2] for r in ref]), depth))):
-                cells = np.argwhere((got != want) & (got >= 0) & (want >= 0))
-                s = (u - l) / 2 ** k
-                assert touches(g, l + cells * s, l + (cells + 1) * s).all()
-                differ |= cells.size > 0
-            if differ:
-                continue
+            single = octree_partition(g, (l, u), depth)
+            mine = batched.owner == b
+            assert mine.sum() == len(ref) == len(single)
             # the integer cells are the float recursion's corners, rounded
-            assert np.array_equal(single.depth, d)
-            assert np.array_equal(single.pos, ref_pos)
-            for got, want in zip(leaf_corners(single, l, u), (ref_lo, ref_hi)):
-                assert np.allclose(got, want, rtol=1e-15, atol=0.0)
+            ref_lo, ref_hi = (np.array([r[i] for r in ref]) for i in (0, 1))
+            d = np.array([r[3] for r in ref])[:, None]
+            ref_pos = np.rint((ref_lo - l) / (u - l) * 2.0 ** d)
+            for leaves, box in ((single, (l, u)),
+                                (OctreeView(batched, mine), (lo, hi))):
+                assert leaves.pos.dtype == np.int32
+                assert np.array_equal(leaves.pos, ref_pos)
+                # midpoint splits round; 2^-d of the box does not
+                for got, want in zip(leaf_corners(leaves, *box),
+                                     (ref_lo, ref_hi)):
+                    assert np.allclose(got, want, rtol=1e-15, atol=0.0)
+                assert np.array_equal(leaves.cls, [r[2] for r in ref])
+                assert np.array_equal(leaves.depth, [r[3] for r in ref])
         # grouped by owner, in input order
         assert np.all(np.diff(batched.owner) >= 0)
         assert np.array_equal(np.unique(batched.owner), np.arange(len(lo)))
