@@ -130,6 +130,13 @@ class Grid:
         lo = self.origin + np.asarray(ijk, dtype=float) * self.h
         return lo, lo + self.h
 
+    def from_local(self, x_local) -> np.ndarray:
+        """Points (..., 3) in the cube's local frame, mapped to this grid's
+        frame: the local frame itself when boundary-fitted, global
+        coordinates otherwise."""
+        x_local = np.asarray(x_local, dtype=float)
+        return x_local if self.boundary_fitted else self.geom.to_global(x_local)
+
     @property
     def n_kept(self) -> int:
         return self.kept.shape[0]
@@ -763,11 +770,7 @@ def spatial_load(grid: Grid, source: SourceSpec, alpha: float,
         cache = ElementIntegralCache(grid, octree_depth)
     elif cache.grid is not grid or cache.octree_depth != octree_depth:
         raise ValueError("the cache belongs to another grid or octree depth")
-    src_local = np.asarray(source.x_local, dtype=float)
-    if grid.boundary_fitted:
-        src_grid = src_local
-    else:
-        src_grid = grid.geom.to_global(src_local)
+    src_grid = grid.from_local(source.x_local)
     lo, hi = grid.element_box(grid.kept)
     dist = np.linalg.norm(np.clip(src_grid, lo, hi) - src_grid, axis=1)
     near = np.flatnonzero(dist <= 14.0 * source.sigma)

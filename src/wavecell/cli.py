@@ -20,10 +20,10 @@ from pathlib import Path
 import scipy.io
 from numpy.linalg import LinAlgError
 
-from .assembly import assemble
-from .harness import (BenchmarkConfig, Grid, convergence_study, dof_count,
-                      prepare, reference_run, run_benchmark, sample_observers,
-                      timing_study, write_signals_csv, write_study_csv)
+from .assembly import Grid, assemble
+from .harness import (BenchmarkConfig, convergence_study, dof_count, prepare,
+                      reference_run, run_benchmark, timing_study,
+                      write_signals_csv, write_study_csv)
 from .linalg import IndefiniteMatrixError
 from .timeint import DivergenceError
 
@@ -38,8 +38,6 @@ def _add_common(parser):
                         help="output directory (created if missing)")
     parser.add_argument("--seed", type=int, default=None,
                         help="eigensolver start-vector seed")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="BLAS thread cap (ignored in timing mode)")
     parser.add_argument("--family", choices=("lagrange", "bspline"))
     parser.add_argument("--p", type=int)
     parser.add_argument("--n-e", dest="n_e", type=int)
@@ -97,25 +95,8 @@ def _load_config(args) -> BenchmarkConfig:
     return cfg
 
 
-def _limit_threads(args):
-    if args.threads is None:
-        return
-    if args.command == "timing":
-        print("warning: --threads is ignored in timing mode "
-              "(timing runs are single-threaded by contract)",
-              file=sys.stderr)
-        return
-    try:
-        from threadpoolctl import threadpool_limits
-        threadpool_limits(limits=args.threads)
-    except ImportError:
-        print("warning: threadpoolctl not available, --threads ignored",
-              file=sys.stderr)
-
-
 def _cmd_run(cfg, args) -> int:
     out = args.out
-    out.mkdir(parents=True, exist_ok=True)
     report, result = run_benchmark(cfg)
     write_signals_csv(out / "signals.csv", result.t, result.obs)
     (out / "report.json").write_text(report.to_json())
@@ -127,7 +108,6 @@ def _cmd_run(cfg, args) -> int:
 
 def _cmd_reference(cfg, args) -> int:
     out = args.out
-    out.mkdir(parents=True, exist_ok=True)
     result = reference_run(cfg, p=args.ref_p, n_e=args.ref_n_e,
                            dt=args.ref_dt)
     write_signals_csv(out / "reference_signals.csv", result.t, result.obs)
@@ -151,7 +131,6 @@ def _cmd_dofs(cfg, args) -> int:
 
 def _cmd_converge(cfg, args) -> int:
     out = args.out
-    out.mkdir(parents=True, exist_ok=True)
     n_e_values = [int(v) for v in args.n_e_values.split(",") if v.strip()]
     reports = convergence_study(cfg, n_e_values, n_s=args.n_s)
     write_study_csv(out / "convergence.csv", reports)
@@ -163,7 +142,6 @@ def _cmd_converge(cfg, args) -> int:
 
 def _cmd_timing(cfg, args) -> int:
     out = args.out
-    out.mkdir(parents=True, exist_ok=True)
     study = timing_study([cfg], repetitions=args.repetitions)[0]
     write_study_csv(out / "timing.csv", study["reports"])
     print(f"factorization dimension: {study['fact_dim']}")
@@ -177,7 +155,6 @@ def _cmd_timing(cfg, args) -> int:
 
 def _cmd_export(cfg, args) -> int:
     out = args.out
-    out.mkdir(parents=True, exist_ok=True)
     grid = Grid.build(cfg.geometry(), cfg.basis_spec(),
                       boundary_fitted=cfg.boundary_fitted)
     system = assemble(grid, cfg.stabilization(), rho=cfg.rho, c=cfg.c,
@@ -188,6 +165,9 @@ def _cmd_export(cfg, args) -> int:
     print(f"wrote M.mtx, K.mtx, F.mtx to {out}")
     return 0
 
+
+# Subcommands that write files into ``--out``.
+_WRITES = ("run", "reference", "converge", "timing", "export-matrices")
 
 _COMMANDS = {
     "run": _cmd_run,
@@ -209,11 +189,12 @@ def main(argv=None) -> int:
         return 0 if code == 0 else 1
     try:
         cfg = _load_config(args)
+        if args.command in _WRITES:
+            args.out.mkdir(parents=True, exist_ok=True)
     except (OSError, ValueError, TypeError, KeyError,
             json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    _limit_threads(args)
     try:
         return _COMMANDS[args.command](cfg, args)
     except (DivergenceError, IndefiniteMatrixError, LinAlgError,

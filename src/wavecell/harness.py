@@ -16,8 +16,8 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import os
 import warnings
-from contextlib import nullcontext
 from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
 
@@ -77,10 +77,7 @@ def observer_matrix(grid: Grid) -> sp.csr_matrix:
     coordinates; the clamping distance is required to stay far below the
     element size.
     """
-    geom = grid.geom
-    pts = build_observers(geom.l_p)
-    if not grid.boundary_fitted:
-        pts = geom.to_global(pts)
+    pts = grid.from_local(build_observers(grid.geom.l_p))
     n_e, h = grid.spec.n_e, grid.h
     idx = np.clip(np.floor((pts - grid.origin) / h).astype(int), 0, n_e - 1)
     kept_lo, kept_hi = grid.element_box(grid.kept)
@@ -429,35 +426,31 @@ def timing_study(configs, repetitions: int = 10):
     only factorization and time stepping.  Returns a list of dicts, one
     per configuration, with the per-repetition reports, the digest of the
     numerical output, and whether all repetitions were bit-identical.
-    Without ``threadpoolctl`` it warns that BLAS threads are not pinned
-    and runs anyway.
+    BLAS threads are pinned by the environment before numpy loads; the
+    study warns, and runs anyway, unless ``OPENBLAS_NUM_THREADS``, or
+    failing that ``OMP_NUM_THREADS``, is 1.
     """
-    try:
-        from threadpoolctl import threadpool_limits
-        limiter = threadpool_limits(limits=1)
-    except ImportError:
-        warnings.warn("threadpoolctl is not installed: BLAS threads are not "
-                      "pinned, timings may use more than one thread",
-                      RuntimeWarning, stacklevel=2)
-        limiter = nullcontext()
+    if os.environ.get("OPENBLAS_NUM_THREADS",
+                      os.environ.get("OMP_NUM_THREADS")) != "1":
+        warnings.warn("OPENBLAS_NUM_THREADS (or OMP_NUM_THREADS) is not 1: "
+                      "BLAS threads are not pinned, timings may use more "
+                      "than one thread", RuntimeWarning, stacklevel=2)
     out = []
-    with limiter:
-        for cfg in configs:
-            prep = prepare(cfg)
-            reps = []
-            digests = set()
-            for _ in range(repetitions):
-                result = execute(prep, cfg)
-                digests.add(_result_digest(result))
-                reps.append(BenchmarkReport.from_run(cfg, prep, result))
-            out.append({
-                "config": cfg,
-                "reports": reps,
-                "identical": len(digests) == 1,
-                "digest": digests.pop() if len(digests) == 1 else None,
-                "fact_dim": reps[-1].fact_dim,
-                "c_set_size": int(prep.grid.dofmap.c_idx.shape[0]),
-            })
+    for cfg in configs:
+        prep = prepare(cfg)
+        reps = []
+        digests = set()
+        for _ in range(repetitions):
+            result = execute(prep, cfg)
+            digests.add(_result_digest(result))
+            reps.append(BenchmarkReport.from_run(cfg, prep, result))
+        out.append({
+            "reports": reps,
+            "identical": len(digests) == 1,
+            "digest": digests.pop() if len(digests) == 1 else None,
+            "fact_dim": reps[-1].fact_dim,
+            "c_set_size": int(prep.grid.dofmap.c_idx.shape[0]),
+        })
     return out
 
 

@@ -92,16 +92,13 @@ def row_sum_lump(M):
     return M @ np.ones(M.shape[-1])
 
 
-def hrz_lump(M, m_e=None):
+def hrz_lump(M):
     """Diagonally scaled (HRZ) lumped diagonal as a vector.
 
     Scales the diagonal of ``M`` so the total lumped mass equals the element
-    mass ``m_e``; by partition of unity the element mass equals the sum of
-    all matrix entries, which is the default.
+    mass, which by partition of unity is the sum of all matrix entries.
     """
     M = np.asarray(M, dtype=float)
-    diag = np.diagonal(M, axis1=-2, axis2=-1).copy()
-    if m_e is None:
-        m_e = M.sum(axis=(-2, -1))
-    scale = np.asarray(m_e) / diag.sum(axis=-1)
+    diag = np.diagonal(M, axis1=-2, axis2=-1)
+    scale = M.sum(axis=(-2, -1)) / diag.sum(axis=-1)
     return diag * scale[..., None]

@@ -332,7 +332,7 @@ def test_criterion_8_oracle_equivalences(benchmark_geometry, source):
     # lumping identities
     t0 = time.perf_counter()
     Me = np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0 * 0.73
-    lumped = hrz_lump(Me, m_e=0.73)
+    lumped = hrz_lump(Me)
     assert abs(lumped.sum() - 0.73) <= 1e-12 * 0.73
     C = rng.standard_normal((40, 40))
     Ms = C @ C.T + 40.0 * np.eye(40)

@@ -111,6 +111,13 @@ def test_missing_config_file_exits_1(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_out_that_is_a_file_exits_1(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main(["run", "--n-t", "5", "--out", str(taken / "out")]) == 1
+    assert "config error" in capsys.readouterr().err
+
+
 def test_dtcrit_prints_positive_float(tmp_path, capsys):
     cfg_path = write_config(tmp_path, **TINY)
     assert main(["dtcrit", "--config", str(cfg_path)]) == 0
@@ -124,23 +131,6 @@ def test_dtcrit_seed_is_reproducible(tmp_path, capsys):
     first = capsys.readouterr().out
     assert main(["dtcrit", "--config", str(cfg_path), "--seed", "5"]) == 0
     assert capsys.readouterr().out == first
-
-
-def test_threads_flag_ignored_in_timing_mode(tmp_path, capsys):
-    cfg_path = write_config(tmp_path, n_t=30, **TINY)
-    out = tmp_path / "out"
-    assert main(["timing", "--config", str(cfg_path), "--out", str(out),
-                 "--threads", "2", "--repetitions", "2"]) == 0
-    captured = capsys.readouterr()
-    assert "ignored in timing mode" in captured.err
-    assert "bit-identical repetitions: True" in captured.out
-    lines = (out / "timing.csv").read_text().strip().splitlines()
-    assert len(lines) == 3  # header + one row per repetition
-
-
-def test_threads_flag_accepted_elsewhere(capsys):
-    assert main(["dofs", "--threads", "1"]) == 0
-    capsys.readouterr()
 
 
 def test_export_matrices_round_trip(tmp_path, capsys):
@@ -183,3 +173,13 @@ def test_converge_command_writes_study(tmp_path, capsys):
     assert len(lines) == 3
     errors = [float(line.split(",")[6]) for line in lines[1:]]
     assert all(e > 0.0 for e in errors)
+
+
+def test_timing_command_writes_study(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, n_t=30, **TINY)
+    out = tmp_path / "out"
+    assert main(["timing", "--config", str(cfg_path), "--out", str(out),
+                 "--repetitions", "2"]) == 0
+    assert "bit-identical repetitions: True" in capsys.readouterr().out
+    lines = (out / "timing.csv").read_text().strip().splitlines()
+    assert len(lines) == 3  # header + one row per repetition

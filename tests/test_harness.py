@@ -1,6 +1,6 @@
 import dataclasses
 import json
-import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -389,15 +389,28 @@ def test_timing_study_reproducible_and_untimed():
     assert _result_digest(result) == entry["digest"]
 
 
-def test_timing_study_warns_without_threadpoolctl(monkeypatch):
-    monkeypatch.setitem(sys.modules, "threadpoolctl", None)
+def test_timing_study_warns_iff_blas_unpinned(monkeypatch):
     cfg = BenchmarkConfig(family="lagrange", p=1, n_e=2, alpha=1e-2,
                           octree_depth=1, method="cdm", n_t=5,
                           lumping="row_sum")
-    with pytest.warns(RuntimeWarning, match="not pinned") as record:
-        out = timing_study([cfg], repetitions=1)
-    assert sum("not pinned" in str(w.message) for w in record) == 1
-    assert out[0]["identical"] is True
+    # OpenBLAS reads OPENBLAS_NUM_THREADS first, then OMP_NUM_THREADS.
+    for env, warns in (({}, True),
+                       ({"OPENBLAS_NUM_THREADS": "4",
+                         "OMP_NUM_THREADS": "1"}, True),
+                       ({"OPENBLAS_NUM_THREADS": "1"}, False),
+                       ({"OMP_NUM_THREADS": "1"}, False)):
+        with monkeypatch.context() as m:
+            m.delenv("OPENBLAS_NUM_THREADS", raising=False)
+            m.delenv("OMP_NUM_THREADS", raising=False)
+            for name, value in env.items():
+                m.setenv(name, value)
+            with warnings.catch_warnings(record=True) as record:
+                warnings.simplefilter("always")
+                out = timing_study([cfg], repetitions=1)
+        pinned = [w for w in record if "not pinned" in str(w.message)]
+        assert len(pinned) == int(warns), env
+        assert all(w.category is RuntimeWarning for w in pinned)
+        assert out[0]["identical"] is True
 
 
 def test_signals_csv_round_trip(tmp_path):

@@ -101,7 +101,7 @@ def test_hrz_linear_element():
     rho, h = 2.0, 0.4
     M = consistent_p1_mass(rho, h)
     # trace 2 rho h / 3 scaled to the element mass rho h
-    assert np.allclose(hrz_lump(M, m_e=rho * h),
+    assert np.allclose(hrz_lump(M),
                        [rho * h / 2.0, rho * h / 2.0], atol=1e-15)
 
 
@@ -109,11 +109,8 @@ def test_hrz_total_mass_preserved():
     rng = np.random.default_rng(2)
     A = rng.standard_normal((6, 6))
     M = A @ A.T + 6 * np.eye(6)
-    m_e = 3.7
-    out = hrz_lump(M, m_e=m_e)
-    assert abs(out.sum() - m_e) <= 1e-12 * m_e
-    default = hrz_lump(M)
-    assert abs(default.sum() - M.sum()) <= 1e-12 * abs(M.sum())
+    out = hrz_lump(M)
+    assert abs(out.sum() - M.sum()) <= 1e-12 * abs(M.sum())
 
 
 def test_hrz_batch_matches_singles():
