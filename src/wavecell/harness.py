@@ -177,6 +177,12 @@ class BenchmarkConfig:
     def __post_init__(self):
         if self.method not in ("cdm", "newmark", "imex"):
             raise ValueError(f"unknown method {self.method!r}")
+        for name in ("T", "dt", "dt_max", "safety"):
+            value = getattr(self, name)
+            if value is not None and not value > 0:
+                raise ValueError(f"{name} must be positive, got {value!r}")
+        if self.n_t is not None and not self.n_t >= 1:
+            raise ValueError(f"n_t must be at least 1, got {self.n_t!r}")
 
     def geometry(self) -> ImmersedGeometry:
         return ImmersedGeometry.from_angles(self.l_p, self.l_e,
@@ -225,9 +231,6 @@ class BenchmarkConfig:
             if kw.get(key) is not None:
                 kw[key] = tuple(kw[key])
         return cls(**kw)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "BenchmarkConfig":
@@ -392,15 +395,13 @@ def reference_run(base: BenchmarkConfig | None = None, p: int = 6,
         c=base.c, x_local=base.source().x_local, T=base.T, dt=dt))
 
 
-def convergence_study(base: BenchmarkConfig, n_e_values, n_s: int = 10000,
-                      reference: RunResult | None = None):
-    """Error vs refinement against the boundary-fitted reference.
+def convergence_study(base: BenchmarkConfig, n_e_values, n_s: int = 10000):
+    """Error vs refinement against the boundary-fitted reference
+    ``reference_run(base)``.
 
     Returns one BenchmarkReport per n_e with the error field filled.
     """
-    if reference is None:
-        reference = reference_run(base)
-    ref_sig = sample_observers(reference, n_s, T=base.T)
+    ref_sig = sample_observers(reference_run(base), n_s, T=base.T)
     reports = []
     for n_e in n_e_values:
         cfg = replace(base, n_e=int(n_e))

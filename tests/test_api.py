@@ -3,11 +3,15 @@
 import ast
 import dataclasses
 import importlib
+import inspect
+import json
 import os
 import sys
 from contextlib import contextmanager
 from dataclasses import replace
+from functools import cached_property
 from pathlib import Path
+from types import FunctionType
 
 import pytest
 
@@ -52,92 +56,13 @@ def test_every_public_definition_is_used_in_src(module):
     assert unused(public) == []
 
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-READERS = list(MODULES.values()) + [
-    ast.parse(path.read_text()) for path in sorted(PERFBENCH.glob("*.py"))
-    if not path.name.startswith("test_")]
-
-
-def is_dataclass(cls):
-    return "dataclass" in {
-        getattr(d.func if isinstance(d, ast.Call) else d, "id", None)
-        for d in cls.decorator_list}
-
-
-def public_members(tree):
-    """``Class.name`` of every public method and dataclass field of the
-    public classes of a module."""
-    for cls in tree.body:
-        if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
-            continue
-        for node in cls.body:
-            if isinstance(node, ast.FunctionDef):
-                name = node.name
-            elif (isinstance(node, ast.AnnAssign) and is_dataclass(cls)
-                  and isinstance(node.target, ast.Name)):
-                name = node.target.id
-            else:
-                continue
-            if not name.startswith("_"):
-                yield f"{cls.name}.{name}"
-
-
-def read_by_name(tree):
-    """Names read as ``getattr(x, name) for name in NAMES``, NAMES a
-    module-level tuple of string constants (the study CSV's columns)."""
-    tuples = {t.id: [getattr(e, "value", None) for e in node.value.elts]
-              for node in tree.body if isinstance(node, ast.Assign)
-              and isinstance(node.value, ast.Tuple) for t in node.targets
-              if isinstance(t, ast.Name)}
-    return {name for comp in ast.walk(tree)
-            if isinstance(comp, (ast.GeneratorExp, ast.ListComp))
-            for gen in comp.generators
-            if getattr(gen.iter, "id", None) in tuples
-            and any(getattr(call.func, "id", None) == "getattr"
-                    and getattr(call.args[1], "id", None) == gen.target.id
-                    for call in ast.walk(comp.elt)
-                    if isinstance(call, ast.Call))
-            for name in tuples[gen.iter.id]}
-
-
-def unread(members, readers):
-    read = {node.attr for tree in readers for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute)
-            and isinstance(node.ctx, ast.Load)}
-    read = read.union(*map(read_by_name, readers))
-    return [m for m in members if m.split(".")[1] not in read]
-
-
-@pytest.mark.parametrize("module", sorted(MODULES))
-def test_every_public_member_is_read(module):
-    # Methods and dataclass fields must be read as an attribute by the
-    # package or the benchmark scripts, not only by tests: by attribute
-    # syntax, or by name with getattr over a constant tuple of names.
-    assert unread(list(public_members(MODULES[module])), READERS) == []
-
-
-def test_unread_field_is_caught():
-    tree = ast.parse("from dataclasses import dataclass\n"
-                     "NAMES = ('by_name',)\nOTHER = ('never_read_anywhere',)\n"
-                     "@dataclass(frozen=True)\nclass Probe:\n"
-                     "    kept: int\n    never_read_anywhere: int\n"
-                     "    by_name: int\n"
-                     "    def used(self):\n        return self.kept\n"
-                     "print(Probe(1, 2, 3).used())\n"
-                     "print([getattr(Probe(1, 2, 3), n) for n in NAMES])\n"
-                     "print([n for n in OTHER])\n")
-    members = list(public_members(tree))
-    assert members == ["Probe.kept", "Probe.never_read_anywhere",
-                       "Probe.by_name", "Probe.used"]
-    assert unread(members, READERS + [tree]) == ["Probe.never_read_anywhere"]
-
-
 # -- runtime read check --------------------------------------------------------
 
 # A read counts when the nearest caller in the project is the package or
 # the benchmark scripts, not a test.  Reads by the standard library and by
 # code that dataclasses generate (replace, asdict, __eq__, __repr__ read
 # every field) belong to whoever called them.
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 READER_DIRS = tuple(str(path) + os.sep for path in (SRC, PERFBENCH))
 PROJECT = READER_DIRS + (str(Path(__file__).resolve().parent) + os.sep,)
 
@@ -157,6 +82,8 @@ def read_by_package(frame):
 UNREAD_ALLOWED = {
     "TensorSystem.k1": "the 1D stiffness of the nine-contraction reference "
                        "of k_matvec in tests/test_assembly.py",
+    "BenchmarkConfig.to_dict": "the config-file form that from_dict reads "
+                               "back; tests write config files with it",
 }
 
 
@@ -167,17 +94,55 @@ def wavecell_classes():
             if isinstance(obj, type) and obj.__module__ == module.__name__]
 
 
+# Construction hooks, which the name checks above cover, and the lookup
+# hook that reads_recorded wraps itself.
+NOT_MEMBERS = ("__init__", "__post_init__", "__getattribute__")
+
+
+def members(cls):
+    """Names of the public methods, properties, class- and staticmethods
+    of ``cls`` itself, and of the dunders written in its source (not
+    generated, as a dataclass's are), such as ``__len__``."""
+    file = inspect.getfile(cls)
+    return {name for name, value in vars(cls).items()
+            if (isinstance(value, (FunctionType, property, cached_property,
+                                   classmethod, staticmethod))
+                and not name.startswith("_"))
+            or (isinstance(value, FunctionType) and name.startswith("__")
+                and name not in NOT_MEMBERS
+                and value.__code__.co_filename == file)}
+
+
+class Recorded:
+    """Stands in for a member: each lookup made for the package
+    (``read_by_package``) adds ``name`` to ``names``."""
+
+    def __init__(self, member, name, names):
+        self.member, self.name, self.names = member, name, names
+
+    def __get__(self, obj, owner=None):
+        if read_by_package(sys._getframe(1)):
+            self.names.add(self.name)
+        return self.member.__get__(obj, owner)
+
+
 @contextmanager
 def reads_recorded(classes):
-    """Wrap ``__getattribute__`` of ``classes`` for the block and yield
-    ``(held, read)``: per class, the fields and instance attributes its
-    instances held, and the attribute names read on them for the package
-    (``read_by_package``).  Every class gets back the
-    ``__getattribute__`` of its own that it had, or none."""
-    held = {cls: {f.name for f in dataclasses.fields(cls)}
-            if dataclasses.is_dataclass(cls) else set() for cls in classes}
+    """Record reads on ``classes`` for the block and yield ``(held,
+    read)``: per class, its ``members``, fields and the instance attributes
+    its instances held, and the names read on it for the package.
+
+    A wrapped ``__getattribute__`` sees the instance lookups.  Lookups on
+    the class (``Grid.build``) and the interpreter's own (``len``) bypass
+    it, so the members are swapped for ``Recorded`` ones.  Every class
+    gets back what its ``__dict__`` had."""
+    held = {cls: members(cls) | ({f.name for f in dataclasses.fields(cls)}
+                                 if dataclasses.is_dataclass(cls) else set())
+            for cls in classes}
     read = {cls: set() for cls in classes}
-    own = {cls: cls.__dict__.get("__getattribute__") for cls in classes}
+    own = {cls: {name: vars(cls).get(name)
+                 for name in ("__getattribute__", *members(cls))}
+           for cls in classes}
     # Resolved before any class is wrapped, so no wrapper calls another.
     inherited = {cls: cls.__getattribute__ for cls in classes}
 
@@ -196,19 +161,22 @@ def reads_recorded(classes):
         for cls in classes:
             cls.__getattribute__ = wrapper(cls)
             wrapped.append(cls)
+            for name in members(cls):
+                setattr(cls, name, Recorded(own[cls][name], name, read[cls]))
         yield held, read
     finally:
         for cls in wrapped:
-            if own[cls] is None:
-                del cls.__getattribute__
-            else:
-                cls.__getattribute__ = own[cls]
+            for name, value in own[cls].items():
+                if value is None:
+                    delattr(cls, name)
+                else:
+                    setattr(cls, name, value)
 
 
 def unread_attributes(classes, held, read):
     return sorted(f"{cls.__name__}.{name}" for cls in classes
                   for name in held[cls] - read[cls]
-                  if not name.startswith("_"))
+                  if not name.startswith("_") or name in members(cls))
 
 
 def read_sweep(tmp_path, wavebench):
@@ -225,8 +193,8 @@ def read_sweep(tmp_path, wavebench):
                 replace(fitted, method="newmark", n_t=20)):
         run_benchmark(cfg)
     config = tmp_path / "config.json"
-    config.write_text(BenchmarkConfig(p=2, n_e=3, octree_depth=2,
-                                      T=0.05).to_json())
+    cfg = BenchmarkConfig(p=2, n_e=3, octree_depth=2, T=0.05)
+    config.write_text(json.dumps(cfg.to_dict(), indent=2))
     for command, *extra in (
             ("run",), ("dtcrit",), ("dofs",), ("export-matrices",),
             ("reference", "--ref-p", "2", "--ref-n-e", "3", "--ref-dt",
@@ -241,17 +209,16 @@ def read_sweep(tmp_path, wavebench):
 
 
 def test_every_public_attribute_is_read(tmp_path, monkeypatch):
-    # Dataclass fields and instance attributes must be read by the package
-    # or the benchmark scripts on a real run, not only by tests: the
-    # receiver's class is resolved, unlike the name match above.
+    # Dataclass fields, instance attributes, methods, properties, class-
+    # and staticmethods and protocol dunders must be read by the package or
+    # the benchmark scripts on a real run, not only by tests.
     monkeypatch.syspath_prepend(str(PERFBENCH))
     wavebench = importlib.import_module("wavebench")
     classes = wavecell_classes()
-    before = {cls: cls.__dict__.get("__getattribute__") for cls in classes}
+    before = {cls: dict(vars(cls)) for cls in classes}
     with reads_recorded(classes) as (held, read):
         read_sweep(tmp_path, wavebench)
-    assert {cls: cls.__dict__.get("__getattribute__")
-            for cls in classes} == before
+    assert {cls: dict(vars(cls)) for cls in classes} == before
     assert unread_attributes(classes, held, read) == sorted(UNREAD_ALLOWED)
 
 
@@ -264,6 +231,12 @@ def test_attribute_read_only_by_tests_is_caught():
         def __post_init__(self):
             self.extra = 0
 
+        checked = lambda self: self.tested
+        view = property(lambda self: self.kept)
+        of = classmethod(lambda cls, kept: cls(kept, 0))
+        unit = staticmethod(lambda: 1)
+        __len__ = lambda self: self.kept
+
     @dataclasses.dataclass
     class Record:
         saved: int
@@ -271,8 +244,10 @@ def test_attribute_read_only_by_tests_is_caught():
     package = {}
     exec(compile("import dataclasses\n"
                  "def use(probe, record):\n"
-                 "    return probe.kept, dataclasses.asdict(record)\n",
+                 "    return probe.kept, type(probe).unit(),"
+                 " dataclasses.asdict(record)\n",
                  str(SRC / "probe.py"), "exec"), package)
+    before = {cls: dict(vars(cls)) for cls in (Probe, Record)}
     with reads_recorded([Probe, Record]) as (held, read):
         probe = Probe(1, 2)
         package["use"](probe, Record(3))
@@ -280,6 +255,25 @@ def test_attribute_read_only_by_tests_is_caught():
         copy = dataclasses.replace(probe, kept=3)
         assert copy != probe and repr(copy)
         assert probe.tested == 2 and probe.extra == 0
-    assert "__getattribute__" not in Probe.__dict__ | Record.__dict__
+        assert (probe.checked(), probe.view, len(probe), Probe.of(5).kept,
+                Probe.unit()) == (2, 1, 1, 5, 1)
+    assert {cls: dict(vars(cls)) for cls in (Probe, Record)} == before
     assert unread_attributes([Probe, Record], held, read) == [
-        "Probe.extra", "Probe.tested"]
+        "Probe.__len__", "Probe.checked", "Probe.extra", "Probe.of",
+        "Probe.tested", "Probe.view"]
+
+
+def test_member_read_on_another_class_is_caught():
+    # Both classes define ``size``: a read of one does not cover the other.
+    class Small:
+        size = property(lambda self: 1)
+
+    class Large:
+        size = property(lambda self: 2)
+
+    package = {}
+    exec(compile("def use(small):\n    return small.size\n",
+                 str(SRC / "probe.py"), "exec"), package)
+    with reads_recorded([Small, Large]) as (held, read):
+        assert package["use"](Small()) + Large().size == 3
+    assert unread_attributes([Small, Large], held, read) == ["Large.size"]

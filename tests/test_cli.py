@@ -16,7 +16,7 @@ TINY = dict(family="lagrange", p=1, n_e=4, alpha=1e-2, octree_depth=2,
 def write_config(tmp_path, **kwargs):
     cfg = BenchmarkConfig(**kwargs)
     path = tmp_path / "config.json"
-    path.write_text(cfg.to_json())
+    path.write_text(json.dumps(cfg.to_dict(), indent=2))
     return path
 
 
@@ -116,6 +116,22 @@ def test_out_that_is_a_file_exits_1(tmp_path, capsys):
     taken.write_text("")
     assert main(["run", "--n-t", "5", "--out", str(taken / "out")]) == 1
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("integrator", [
+    {"T": 0}, {"T": -1}, {"n_t": 0}, {"n_t": -3}, {"dt": 0}, {"dt": -0.01},
+    {"dt_max": 0, "method": "imex"}, {"dt_max": -1, "method": "imex"},
+    {"safety": 0}],
+    ids=lambda d: ",".join(f"{k}={v}" for k, v in d.items()))
+def test_invalid_time_step_exits_1(tmp_path, capsys, integrator):
+    data = BenchmarkConfig(p=1, n_e=2, boundary_fitted=True).to_dict()
+    data["integrator"].update(integrator)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    assert main(["run", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 1
+    field = next(iter(integrator))
+    assert f"config error: {field} must" in capsys.readouterr().err
 
 
 def test_dtcrit_prints_positive_float(tmp_path, capsys):

@@ -105,7 +105,8 @@ def test_config_round_trip():
                           dt_max=2e-3, x_local=(0.05, 0.0, 0.0), n_t=321,
                           angles_deg=(10.0, 20.0, 30.0), seed=3)
     assert BenchmarkConfig.from_dict(cfg.to_dict()) == cfg
-    assert BenchmarkConfig.from_json(cfg.to_json()) == cfg
+    text = json.dumps(cfg.to_dict(), indent=2)
+    assert BenchmarkConfig.from_json(text) == cfg
 
 
 def test_default_config_matches_readme():
@@ -113,7 +114,8 @@ def test_default_config_matches_readme():
     block = readme.split("unknown keys or sections are rejected:")[1]
     block = block.split("```json\n")[1].split("```")[0]
     # same values in the same key order as the documented default
-    assert json.dumps(json.loads(block), indent=2) == BenchmarkConfig().to_json()
+    assert (json.dumps(json.loads(block), indent=2)
+            == json.dumps(BenchmarkConfig().to_dict(), indent=2))
 
 
 def test_config_rejects_unknown_keys():

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -224,8 +225,8 @@ def test_matrix_market_round_trip(tmp_path):
     # lower triangle); reading them back gives the assembled matrices.
     _, system = tiny_immersed_system()
     config = tmp_path / "tiny.json"
-    config.write_text(BenchmarkConfig(p=1, n_e=4, alpha=1e-6,
-                                      octree_depth=2).to_json())
+    cfg = BenchmarkConfig(p=1, n_e=4, alpha=1e-6, octree_depth=2)
+    config.write_text(json.dumps(cfg.to_dict(), indent=2))
     assert main(["export-matrices", "--config", str(config),
                  "--out", str(tmp_path)]) == 0
     for name, A in (("M", system.M), ("K", system.K)):
